@@ -268,9 +268,10 @@ def _combo_next(c: list[int], n: int) -> bool:
 @dataclass
 class _LevelPlan:
     size: int
-    groups: list[tuple[int, int, int]]  # (last element L, base count, decided per base)
+    # (last element L, first base, base count, extension end): each base
+    # decides the extensions x with L < x < extension end
+    groups: list[tuple[int, int, int, int]]
     bases_total: int
-    decided_total: int
     truncated: bool
 
 
@@ -278,78 +279,71 @@ def _plan_level(ground: int, s: int, node_budget: int | None) -> _LevelPlan:
     """Lay out the size-s level: bases grouped by their largest element.
 
     Every size-s subset is decided exactly once, via the base formed by
-    dropping its largest member.  A node budget truncates the plan at a
-    base boundary, deterministically and independently of worker count.
+    dropping its largest member.  A node budget is a hard cap: the last
+    planned base decides only the extensions the budget has left, so the
+    plan is deterministic and independent of worker count.
     """
-    groups: list[tuple[int, int, int]] = []
+    groups: list[tuple[int, int, int, int]] = []
     decided = 0
     bases = 0
-    truncated = False
     if node_budget is not None and node_budget <= 0:
-        return _LevelPlan(s, [], 0, 0, True)
+        return _LevelPlan(s, [], 0, True)
     if s == 1:
-        groups.append((-1, 1, ground))
-        return _LevelPlan(s, groups, 1, ground, False)
+        if node_budget is not None and node_budget < ground:
+            return _LevelPlan(s, [(-1, 0, 1, node_budget)], 1, True)
+        return _LevelPlan(s, [(-1, 0, 1, ground)], 1, False)
     for L in range(s - 2, ground - 1):
         cnt = comb(L, s - 2)
-        if cnt == 0:
-            continue
         per = ground - 1 - L
         if node_budget is None or decided + cnt * per <= node_budget:
-            groups.append((L, cnt, per))
+            groups.append((L, 0, cnt, ground))
             decided += cnt * per
             bases += cnt
-        else:
-            remaining = node_budget - decided
-            q = remaining // per
-            if remaining % per:
-                q += 1
-            q = min(q, cnt)
-            if q > 0:
-                groups.append((L, q, per))
-                decided += q * per
-                bases += q
-            truncated = True
-            break
-    return _LevelPlan(s, groups, bases, decided, truncated)
+            continue
+        q, r = divmod(node_budget - decided, per)
+        if q:
+            groups.append((L, 0, q, ground))
+        if r:
+            groups.append((L, q, 1, L + 1 + r))
+        return _LevelPlan(s, groups, bases + q + (r > 0), True)
+    return _LevelPlan(s, groups, bases, False)
 
 
-def _make_tasks(plan: _LevelPlan, workers: int) -> list[tuple[int, int, int, int]]:
-    """Slice the base sequence into (s, L, inner_start, count) spans."""
+def _make_tasks(plan: _LevelPlan, workers: int) -> list[tuple[int, int, int, int, int]]:
+    """Slice the base sequence into (s, L, inner_start, count, x_end) spans."""
     if plan.bases_total == 0:
         return []
     chunk = max(512, plan.bases_total // max(1, workers * 6))
     chunk = min(chunk, 65536)
     tasks = []
-    for L, cnt, _per in plan.groups:
+    for L, first, cnt, x_end in plan.groups:
         off = 0
         while off < cnt:
             take = min(chunk, cnt - off)
-            tasks.append((plan.size, L, off, take))
+            tasks.append((plan.size, L, first + off, take, x_end))
             off += take
     return tasks
 
 
 class _WorkerState:
-    """Per-process scratch space; rebuilt once per pool via the initializer."""
+    """Per-process scratch space; rebuilt once per pool via the initializer.
+
+    `rows[v]` holds (neighbour, removal key) pairs: the key is the neighbour
+    itself in vertex mode and the edge id in edge mode, so one stamp array
+    over keys marks removed vertices or removed edges alike.
+    """
 
     def __init__(self, payload):
-        self.mode = payload["mode"]
+        self.vertex = payload["mode"] == "vertex"
         self.k = payload["k"]
         self.deadline = payload["deadline"]
         self.track_disconnectors = payload["track_disconnectors"]
-        if self.mode == "vertex":
-            self.adj = payload["adj"]
-            self.N = len(self.adj)
-            self.ground = self.N
-        else:
-            self.adj_e = payload["adj_e"]
-            self.N = len(self.adj_e)
-            self.ground = payload["num_edges"]
-            self.estamp = [0] * self.ground
+        self.rows = payload["rows"]
+        self.N = len(self.rows)
+        self.ground = payload["ground"]
         self.rstamp = [0] * self.ground
         self.vstamp = [0] * self.N
-        self.astamp = [0] * max(self.N, self.ground)
+        self.astamp = [0] * self.N
         self.disc = [0] * self.N
         self.low = [0] * self.N
         self.gen = 0
@@ -363,141 +357,103 @@ def _init_worker(payload):
     _WS = _WorkerState(payload)
 
 
-def _artic_scan(ws: _WorkerState, base):
-    """Components and articulation points of the graph minus `base` vertices."""
-    ws.gen += 1
-    gen = ws.gen
-    rst = ws.rstamp
-    for b in base:
-        rst[b] = gen
-    adj = ws.adj
-    vst, disc, low, ast = ws.vstamp, ws.disc, ws.low, ws.astamp
-    timer = 0
-    ncomp = 0
-    artics: list[int] = []
-    for root in range(ws.N):
-        if rst[root] == gen or vst[root] == gen:
-            continue
-        ncomp += 1
-        root_children = 0
-        sv = [root]
-        sp = [-1]
-        si = [0]
-        vst[root] = gen
-        disc[root] = low[root] = timer
-        timer += 1
-        while sv:
-            v = sv[-1]
-            row = adj[v]
-            i = si[-1]
-            if i < len(row):
-                si[-1] = i + 1
-                w = row[i]
-                if rst[w] == gen or w == sp[-1]:
-                    continue
-                if vst[w] == gen:
-                    dw = disc[w]
-                    if dw < low[v]:
-                        low[v] = dw
-                else:
-                    vst[w] = gen
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    sv.append(w)
-                    sp.append(v)
-                    si.append(0)
-            else:
-                sv.pop()
-                si.pop()
-                p = sp.pop()
-                if p != -1:
-                    lv = low[v]
-                    if lv < low[p]:
-                        low[p] = lv
-                    if p == root:
-                        root_children += 1
-                    elif lv >= disc[p] and ast[p] != gen:
-                        ast[p] = gen
-                        artics.append(p)
-        if root_children >= 2 and ast[root] != gen:
-            ast[root] = gen
-            artics.append(root)
-    return ncomp, artics
+def _keyed_rows(adj, mode):
+    """(rows, ground size, edge list or None) for a plain adjacency list."""
+    if mode == "vertex":
+        return [tuple((w, w) for w in row) for row in adj], len(adj), None
+    edges = sorted((u, w) for u in range(len(adj)) for w in adj[u] if w > u)
+    eid = {e: i for i, e in enumerate(edges)}
+    rows = [tuple((w, eid[_canon_edge(u, w)]) for w in row)
+            for u, row in enumerate(adj)]
+    return rows, len(edges), edges
 
 
-def _bridge_scan(ws: _WorkerState, base):
-    """Components and bridges (edge ids) of the graph minus `base` edges."""
-    ws.gen += 1
-    gen = ws.gen
-    est = ws.estamp
-    for b in base:
-        est[b] = gen
-    adj = ws.adj_e
-    vst, disc, low, ast = ws.vstamp, ws.disc, ws.low, ws.astamp
-    timer = 0
-    ncomp = 0
-    bridges: list[int] = []
-    for root in range(ws.N):
-        if vst[root] == gen:
-            continue
-        ncomp += 1
-        sv = [root]
-        se = [-1]
-        si = [0]
-        vst[root] = gen
-        disc[root] = low[root] = timer
-        timer += 1
-        while sv:
-            v = sv[-1]
-            row = adj[v]
-            i = si[-1]
-            if i < len(row):
-                si[-1] = i + 1
-                w, eid = row[i]
-                if est[eid] == gen or eid == se[-1]:
-                    continue
-                if vst[w] == gen:
-                    dw = disc[w]
-                    if dw < low[v]:
-                        low[v] = dw
-                else:
-                    vst[w] = gen
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    sv.append(w)
-                    se.append(eid)
-                    si.append(0)
-            else:
-                sv.pop()
-                si.pop()
-                peid = se.pop()
-                if peid != -1:
-                    p = sv[-1]
-                    lv = low[v]
-                    if lv < low[p]:
-                        low[p] = lv
-                    if lv > disc[p]:
-                        bridges.append(peid)
-    return ncomp, bridges
-
-
-def _check_vertex_removal(ws: _WorkerState, removal, k):
-    """(disconnected, valid) for a vertex removal, same rules as is_k_vertex_cut."""
+def _stamp(ws: _WorkerState, removal) -> int:
     ws.gen += 1
     gen = ws.gen
     rst = ws.rstamp
     for b in removal:
         rst[b] = gen
-    adj = ws.adj
-    vst = ws.vstamp
-    survivors = ws.N - len(removal)
+    return gen
+
+
+def _scan(ws: _WorkerState, base):
+    """(components, critical keys) of the graph minus the keys in `base`.
+
+    One Tarjan low-link DFS.  Critical keys are the articulation points in
+    vertex mode and the bridges (edge ids) in edge mode: removing any one
+    of them splits its component.  Each stack entry resumes its row's
+    iterator, and the entry's parent key skips the tree edge back up.  In
+    vertex mode the key of w is w itself, which never occurs in w's own
+    row, so the parent vertex is not skipped; that only lowers low[v] to
+    disc[parent], which the articulation test `low >= disc` tolerates.
+    """
+    gen = _stamp(ws, base)
+    rst, rows, vst, disc, low, ast = (ws.rstamp, ws.rows, ws.vstamp, ws.disc,
+                                      ws.low, ws.astamp)
+    vertex = ws.vertex
+    timer = 0
+    ncomp = 0
+    critical: list[int] = []
+    for root in range(ws.N):
+        if vst[root] == gen or (vertex and rst[root] == gen):
+            continue
+        ncomp += 1
+        root_children = 0
+        vst[root] = gen
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(rows[root]))]
+        while True:
+            v, pkey, it = stack[-1]
+            for w, key in it:
+                if rst[key] == gen or key == pkey:
+                    continue
+                if vst[w] == gen:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    vst[w] = gen
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, key, iter(rows[w])))
+                    break
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1][0]
+                lv = low[v]
+                if lv < low[p]:
+                    low[p] = lv
+                if not vertex:
+                    if lv > disc[p]:
+                        critical.append(pkey)
+                elif p == root:
+                    root_children += 1
+                elif lv >= disc[p] and ast[p] != gen:
+                    ast[p] = gen
+                    critical.append(p)
+        if root_children >= 2:
+            critical.append(root)
+    return ncomp, critical
+
+
+def _check_removal(ws: _WorkerState, removal, k):
+    """(disconnected, valid) for a removal, same rules as is_k_vertex_cut and
+    is_k_edge_cut: in vertex mode fewer than two survivors count as
+    disconnected, and removing every vertex is no cut at all."""
+    gen = _stamp(ws, removal)
+    rst, rows, vst = ws.rstamp, ws.rows, ws.vstamp
+    vertex = ws.vertex
+    survivors = ws.N - len(removal) if vertex else ws.N
     if survivors == 0:
         return False, False
     ncomp = 0
     mind = ws.N
     stack: list[int] = []
     for root in range(ws.N):
-        if rst[root] == gen or vst[root] == gen:
+        if vst[root] == gen or (vertex and rst[root] == gen):
             continue
         ncomp += 1
         vst[root] = gen
@@ -505,8 +461,8 @@ def _check_vertex_removal(ws: _WorkerState, removal, k):
         while stack:
             u = stack.pop()
             deg = 0
-            for w in adj[u]:
-                if rst[w] == gen:
+            for w, key in rows[u]:
+                if rst[key] == gen:
                     continue
                 deg += 1
                 if vst[w] != gen:
@@ -514,59 +470,21 @@ def _check_vertex_removal(ws: _WorkerState, removal, k):
                     stack.append(w)
             if deg < mind:
                 mind = deg
-    disconnected = ncomp >= 2 or survivors < 2
-    return disconnected, disconnected and mind >= k
-
-
-def _check_edge_removal(ws: _WorkerState, removal, k):
-    """(disconnected, valid) for an edge removal, same rules as is_k_edge_cut."""
-    ws.gen += 1
-    gen = ws.gen
-    est = ws.estamp
-    for b in removal:
-        est[b] = gen
-    adj = ws.adj_e
-    vst = ws.vstamp
-    ncomp = 0
-    mind = ws.N
-    stack: list[int] = []
-    for root in range(ws.N):
-        if vst[root] == gen:
-            continue
-        ncomp += 1
-        vst[root] = gen
-        stack.append(root)
-        while stack:
-            u = stack.pop()
-            deg = 0
-            for w, eid in adj[u]:
-                if est[eid] == gen:
-                    continue
-                deg += 1
-                if vst[w] != gen:
-                    vst[w] = gen
-                    stack.append(w)
-            if deg < mind:
-                mind = deg
-    disconnected = ncomp >= 2
+    disconnected = ncomp >= 2 or (vertex and survivors < 2)
     return disconnected, disconnected and mind >= k
 
 
 def _run_task(task):
     """Decide every subset covered by a span of bases; see _plan_level."""
     ws = _WS
-    s, L, start, count = task
+    s, L, start, count, x_end = task
     k = ws.k
-    vertex = ws.mode == "vertex"
-    scan = _artic_scan if vertex else _bridge_scan
-    check = _check_vertex_removal if vertex else _check_edge_removal
-    ground = ws.ground
+    vertex = ws.vertex
     deadline = ws.deadline
     best = None
     disc_sets: list[tuple] = []
     nodes = 0
     checked = 0
-    bases_done = 0
     expired = False
 
     if L == -1:
@@ -581,17 +499,17 @@ def _run_task(task):
             expired = True
             break
         base = rest + [L] if L != -1 else []
-        ncomp, critical = scan(ws, base)
+        ncomp, critical = _scan(ws, base)
         floor = L
         if ncomp >= 2 or (vertex and ws.N - s < 2):
             # already split, or the extension leaves fewer than two
             # survivors, which counts as disconnected by convention
-            cands = range(floor + 1, ground)
+            cands = range(floor + 1, x_end)
         else:
-            cands = sorted(c for c in critical if c > floor)
+            cands = sorted(c for c in critical if floor < c < x_end)
         for x in cands:
             removal = base + [x]
-            disconnected, valid = check(ws, removal, k)
+            disconnected, valid = _check_removal(ws, removal, k)
             checked += 1
             if disconnected and ws.track_disconnectors:
                 disc_sets.append(tuple(removal))
@@ -599,8 +517,7 @@ def _run_task(task):
                 t = tuple(removal)
                 if best is None or t < best:
                     best = t
-        nodes += ground - 1 - floor
-        bases_done += 1
+        nodes += x_end - 1 - floor
         if it + 1 < iters and not _combo_next(rest, L):
             break
     return {
@@ -608,7 +525,6 @@ def _run_task(task):
         "checked": checked,
         "best": best,
         "disc": disc_sets,
-        "bases": bases_done,
         "expired": expired,
     }
 
@@ -692,32 +608,20 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
                 f"constructed cut failed validation: {verdict.reason}"
             )
 
-    adj = g.adjacency_lists()
-    if mode == "vertex":
-        ground = g.num_vertices
-        edges = None
-        payload = {"mode": "vertex", "adj": adj, "k": k, "deadline": deadline,
-                   "track_disconnectors": False}
-        max_size = formula - 1 if formula is not None else g.num_vertices - 1
+    rows, ground, edges = _keyed_rows(g.adjacency_lists(), mode)
+    if formula is not None:
+        max_size = formula - 1
     else:
-        edges = [(u, w) for u in range(g.num_vertices) for w in adj[u] if w > u]
-        edges.sort()
-        eid = {e: i for i, e in enumerate(edges)}
-        adj_e = [tuple() for _ in range(g.num_vertices)]
-        for u in range(g.num_vertices):
-            adj_e[u] = tuple((w, eid[_canon_edge(u, w)]) for w in adj[u])
-        ground = len(edges)
-        max_size = formula - 1 if formula is not None else ground
-        parity = (n - 1) % 2 == 0
-        payload = {"mode": "edge", "adj_e": adj_e, "num_edges": ground, "k": k,
-                   "deadline": deadline, "track_disconnectors": parity}
-
+        # a vertex removal must leave at least one survivor
+        max_size = ground - 1 if mode == "vertex" else ground
     parity = mode == "edge" and (n - 1) % 2 == 0
     if parity:
         stats.notes.append(
             "odd sizes decided by boundary parity: every degree is even, so "
             "minimal disconnecting edge sets have even size"
         )
+    payload = {"mode": mode, "rows": rows, "ground": ground, "k": k,
+               "deadline": deadline, "track_disconnectors": parity}
 
     conn_lb = 1
     if 2 <= n <= _FLOW_PREFILTER_MAX_N:
@@ -757,15 +661,17 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
                         cands = cands[:remaining]
                         truncated = True
                     _init_worker(payload)
-                    ws = _WS
-                    check = _check_edge_removal
-                    for cand in cands:
-                        disconnected, valid = check(ws, list(cand), k)
+                    for i, cand in enumerate(cands):
+                        if deadline is not None and (i & 255) == 0 \
+                                and time.monotonic() > deadline:
+                            truncated = True
+                            break
+                        _, valid = _check_removal(_WS, cand, k)
                         checked += 1
+                        nodes += 1
                         if valid and (best is None or cand < best):
                             best = cand
                             best_size = s
-                    nodes += len(cands)
                     level_done = True
 
             if not level_done:
@@ -780,7 +686,9 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
                         ctx = multiprocessing.get_context("fork")
                         pool = ctx.Pool(workers, initializer=_init_worker,
                                         initargs=(payload,))
-                    results = pool.map(_run_task, tasks)
+                    # unordered, so a failing task raises at once; the fold
+                    # below does not depend on the order
+                    results = list(pool.imap_unordered(_run_task, tasks))
                 else:
                     _init_worker(payload)
                     results = [_run_task(t) for t in tasks]
@@ -798,6 +706,11 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
             stats.sizes_examined.append(s)
             if best is not None or truncated:
                 break
+    except BaseException:
+        # an error or interrupt must not wait for the queued tasks
+        if pool is not None:
+            pool.terminate()
+        raise
     finally:
         if pool is not None:
             pool.close()

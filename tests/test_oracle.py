@@ -1,5 +1,10 @@
+import multiprocessing
+import time
+import types
+
 import pytest
 
+from starcut import oracle
 from starcut import (
     InputError,
     SearchBudget,
@@ -125,6 +130,58 @@ def test_budget_truncation_reports_upper_bound(s5):
     assert res.value == cut_size_formula(5, 1) == 6
     assert not res.stats.completed
     assert is_k_vertex_cut(s5, res.witness, 1).valid
+
+
+def test_node_budget_is_a_hard_cap(s5):
+    budget = SearchBudget(max_nodes=5_000)
+    for search in (exact_kappa_super, exact_lambda_super):
+        for workers in (1, 2):
+            res = search(s5, 1, budget=budget, workers=workers)
+            assert res.kind == "upper-bound-only"
+            assert res.stats.nodes == 5_000, (search.__name__, workers)
+
+
+def _raise_first_then_sleep(task):
+    """A stand-in for oracle._run_task: the first span fails, the rest hang."""
+    s, L = task[0], task[1]
+    if L == s - 2:
+        raise RuntimeError("task failed")
+    time.sleep(30)
+
+
+def test_failing_task_tears_the_pool_down(s4, monkeypatch):
+    # workers are forked, so they see the patched module attribute
+    monkeypatch.setattr(oracle, "_run_task", _raise_first_then_sleep)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="task failed"):
+        exact_kappa_super(s4, 1, workers=2)
+    assert time.monotonic() - t0 < 10
+    assert not multiprocessing.active_children()
+
+
+def test_deadline_checked_inside_parity_loop(s3, monkeypatch):
+    # S3 has even degree, so odd edge-removal sizes are decided from the
+    # supersets of the minimal disconnecting sets; k = 2 has no cut and no
+    # formula, so the search would otherwise run to every size.  The fake
+    # clock expires as the size-3 supersets are listed, so the first
+    # deadline check inside their loop must stop it.
+    now = [0.0]
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    supersets = oracle._parity_superset_candidates
+
+    def expire_at_size_3(minimals, s, ground):
+        if s == 3:
+            now[0] = 1e9
+        return supersets(minimals, s, ground)
+
+    monkeypatch.setattr(oracle, "_parity_superset_candidates", expire_at_size_3)
+    res = exact_lambda_super(s3, 2, budget=SearchBudget(max_wall_time=60))
+    assert res.kind == "upper-bound-only"
+    assert not res.stats.completed
+    # size 2 was decided in full (C(6, 2) = 15), no size-3 superset was
+    assert res.stats.nodes == 15 and res.stats.candidates_checked == 15
+    assert res.stats.sizes_examined == [2, 3]
+    assert res.value is None and res.witness is None
 
 
 def test_wall_time_truncation(s5):
