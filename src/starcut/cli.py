@@ -264,13 +264,18 @@ def cmd_verify_cut(args) -> int:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
     n = args.n if args.n is not None else data.get("n")
     k = args.k if args.k is not None else data.get("k")
-    if n is None or k is None:
-        raise InputError("n and k must come from the file or from --n/--k")
+    if type(n) is not int or type(k) is not int:
+        raise InputError(f"n and k must be integers from the file or from "
+                         f"--n/--k, got {n!r} and {k!r}")
     g = StarGraph(n)
 
     def rank(text):
+        if not isinstance(text, str):
+            raise InputError(f"vertex label {text!r} is not a string")
         p = parse_perm(text)
         if len(p) != n:
             raise InputError(
@@ -279,12 +284,15 @@ def cmd_verify_cut(args) -> int:
         return perm_rank(p)
 
     if args.vertices:
-        if "vertices" not in data:
+        if not isinstance(data.get("vertices"), list):
             raise InputError(f"{path} has no \"vertices\" list")
         verdict = is_k_vertex_cut(g, [rank(s) for s in data["vertices"]], k)
     else:
-        if "edges" not in data:
+        if not isinstance(data.get("edges"), list):
             raise InputError(f"{path} has no \"edges\" list")
+        for e in data["edges"]:
+            if not isinstance(e, list) or len(e) != 2:
+                raise InputError(f"edge {e!r} is not a pair of vertex labels")
         pairs = [(rank(u), rank(v)) for u, v in data["edges"]]
         verdict = is_k_edge_cut(g, pairs, k)
     _write(args, _json(_verdict_payload(verdict)))

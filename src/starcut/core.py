@@ -247,6 +247,28 @@ def _edge_key_set(g: StarGraph, edges) -> set[tuple[int, int]]:
     return out
 
 
+def _iso_problem(g: StarGraph, small: StarGraph, part, mapping) -> str | None:
+    """None if `mapping` (part -> ranks of small) is an isomorphism from
+    g[part] onto small, else the first problem found.  A bijection that keeps
+    every induced edge and the edge count also keeps every non-edge."""
+    if (len(part) != small.num_vertices
+            or len(set(mapping.values())) != small.num_vertices):
+        return "relabeling is not a bijection onto the smaller star graph"
+    members = set(part)
+    inner = 0
+    for u in part:
+        small_nbrs = set(small.neighbors(mapping[u]))
+        for w in g.neighbors(u):
+            if w in members:
+                if w > u:
+                    inner += 1
+                if mapping[w] not in small_nbrs:
+                    return f"edge ({u},{w}) has non-adjacent image"
+    if inner != small.num_edges:
+        return f"induced edge count {inner} != {small.num_edges}"
+    return None
+
+
 def components(g: StarGraph, removed_vertices=(), removed_edges=()) -> list[list[int]]:
     """Connected components of g minus the given vertices and edges.
 

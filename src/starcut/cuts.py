@@ -18,6 +18,7 @@ from .core import (
     InvariantViolationError,
     StarGraph,
     _canon_edge,
+    _iso_problem,
     _vertex_set,
     components,
     edge_boundary,
@@ -120,10 +121,6 @@ def substar_isolating_cut(n: int, k: int, graph: StarGraph | None = None) -> Cut
 
 def _self_check(g: StarGraph, cut: CutConstruction):
     expected = cut.formula
-    if len(cut.x) != factorial(cut.k + 1):
-        raise InvariantViolationError(
-            f"|X| = {len(cut.x)}, expected {factorial(cut.k + 1)}"
-        )
     if len(cut.t) != expected or len(cut.f) != expected:
         raise InvariantViolationError(
             f"|T| = {len(cut.t)}, |F| = {len(cut.f)}, expected {expected}"
@@ -147,9 +144,7 @@ def substar_iso_ok(g: StarGraph, x, k: int) -> bool:
     symbols down must then be a bijection onto S_{k+1} preserving edges.
     """
     m = k + 1
-    small = StarGraph(m) if m <= 9 else StarGraph(m, mode="implicit")
-    if len(x) != small.num_vertices:
-        return False
+    small = StarGraph(m)
     lo = g.n - m  # prefix symbols are n-k-1 .. n-1 (0-based)
     mapping = {}
     suffix_seen = set()
@@ -160,19 +155,7 @@ def substar_iso_ok(g: StarGraph, x, k: int) -> bool:
             return False
         suffix_seen.add(p[m:])
         mapping[v] = perm_rank(tuple(s - lo for s in prefix))
-    if len(suffix_seen) > 1 or len(set(mapping.values())) != small.num_vertices:
-        return False
-    inner = 0
-    xs = set(x)
-    for u in x:
-        small_nbrs = set(small.neighbors(mapping[u]))
-        for w in g.neighbors(u):
-            if w in xs:
-                if w > u:
-                    inner += 1
-                if mapping[w] not in small_nbrs:
-                    return False
-    return inner == small.num_edges
+    return len(suffix_seen) <= 1 and _iso_problem(g, small, x, mapping) is None
 
 
 def is_k_vertex_cut(g: StarGraph, S, k: int) -> CutVerdict:
@@ -182,39 +165,14 @@ def is_k_vertex_cut(g: StarGraph, S, k: int) -> CutVerdict:
     is the convention that gives complete graphs connectivity |V|-1 and it
     only matters when all but one vertex is removed.
     """
-    if k < 0:
-        raise InputError("k must be >= 0")
     removed = _vertex_set(g, S)
-    survivors = g.num_vertices - len(removed)
-    if survivors == 0:
+    if len(removed) == g.num_vertices:
         raise InputError("removing every vertex leaves nothing to judge")
-    comps = components(g, removed_vertices=removed)
-    sizes = [len(c) for c in comps]
-    disconnected = len(comps) >= 2 or survivors < 2
-    mind = min_degree(g, removed_vertices=removed)
-    valid = disconnected and mind >= k
-    if valid:
-        reason = "ok"
-    elif not disconnected:
-        reason = "not-disconnected"
-    else:
-        reason = "degree-below-k"
-    return CutVerdict(
-        mode="vertex",
-        n=g.n,
-        k=k,
-        valid=valid,
-        reason=reason,
-        component_sizes=sizes,
-        min_surviving_degree=mind,
-        removed=len(removed),
-    )
+    return _verdict(g, "vertex", k, removed, ())
 
 
 def is_k_edge_cut(g: StarGraph, F, k: int) -> CutVerdict:
     """Judge an edge removal set against the k-cut definition."""
-    if k < 0:
-        raise InputError("k must be >= 0")
     removed = set()
     for u, v in F:
         if not g.has_edge(u, v):
@@ -222,27 +180,25 @@ def is_k_edge_cut(g: StarGraph, F, k: int) -> CutVerdict:
                 f"({g.label(u)}) -- ({g.label(v)}) is not an edge of the graph"
             )
         removed.add(_canon_edge(u, v))
-    comps = components(g, removed_edges=removed)
-    sizes = [len(c) for c in comps]
-    disconnected = len(comps) >= 2
-    mind = min_degree(g, removed_edges=removed)
+    return _verdict(g, "edge", k, (), removed)
+
+
+def _verdict(g: StarGraph, mode: str, k: int, removed_vertices, removed_edges) -> CutVerdict:
+    """The k-cut rule for a validated removal: disconnected, and every
+    survivor keeps degree >= k.  Fewer than two survivors count as
+    disconnected in vertex mode only (see is_k_vertex_cut)."""
+    if k < 0:
+        raise InputError("k must be >= 0")
+    comps = components(g, removed_vertices=removed_vertices, removed_edges=removed_edges)
+    survivors = g.num_vertices - len(removed_vertices)
+    disconnected = len(comps) >= 2 or (mode == "vertex" and survivors < 2)
+    mind = min_degree(g, removed_vertices=removed_vertices, removed_edges=removed_edges)
     valid = disconnected and mind >= k
-    if valid:
-        reason = "ok"
-    elif not disconnected:
-        reason = "not-disconnected"
-    else:
-        reason = "degree-below-k"
-    return CutVerdict(
-        mode="edge",
-        n=g.n,
-        k=k,
-        valid=valid,
-        reason=reason,
-        component_sizes=sizes,
-        min_surviving_degree=mind,
-        removed=len(removed),
-    )
+    reason = "ok" if valid else "degree-below-k" if disconnected else "not-disconnected"
+    return CutVerdict(mode=mode, n=g.n, k=k, valid=valid, reason=reason,
+                      component_sizes=[len(c) for c in comps],
+                      min_surviving_degree=mind,
+                      removed=len(removed_vertices) + len(removed_edges))
 
 
 def symbol_profile(n: int, X) -> SymbolProfile:

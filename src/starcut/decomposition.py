@@ -17,6 +17,7 @@ from .core import (
     InputError,
     StarGraph,
     _canon_edge,
+    _iso_problem,
     perm_rank,
 )
 
@@ -117,32 +118,6 @@ def relabel_to_smaller_star(g: StarGraph, part, j: int, i: int) -> dict[int, int
     return {v: perm_rank(shrink_perm(g.perm(v), j, i)) for v in part}
 
 
-def _iso_to_smaller_star(g: StarGraph, small: StarGraph, part, j: int, i: int, problems: list[str], tag: str) -> bool:
-    """Check that the relabeling maps the part bijectively and edge-exactly onto small."""
-    mapping = relabel_to_smaller_star(g, part, j, i)
-    ok = True
-    if len(part) != small.num_vertices or len(set(mapping.values())) != small.num_vertices:
-        problems.append(f"{tag}: relabeling is not a bijection onto the smaller star graph")
-        ok = False
-    part_set = set(part)
-    inner = 0
-    for u in part:
-        mu = mapping[u]
-        small_nbrs = set(small.neighbors(mu))
-        for w in g.neighbors(u):
-            if w in part_set:
-                if w > u:
-                    inner += 1
-                if mapping[w] not in small_nbrs:
-                    problems.append(f"{tag}: edge ({u},{w}) has non-adjacent image")
-                    ok = False
-    # Equal edge counts plus preserved adjacency force non-adjacency too.
-    if inner != small.num_edges:
-        problems.append(f"{tag}: induced edge count {inner} != {small.num_edges}")
-        ok = False
-    return ok
-
-
 @dataclass
 class DimensionPartitionReport:
     """Evidence that a fixed-position split has the expected structure."""
@@ -194,7 +169,10 @@ def validate_dimension_partition(g: StarGraph, j: int) -> DimensionPartitionRepo
     small = StarGraph(n - 1) if n >= 2 else None
     iso_ok: dict[int, bool] = {}
     for i, vs in dp.parts.items():
-        iso_ok[i] = _iso_to_smaller_star(g, small, vs, j, i, problems, f"part {i}")
+        problem = _iso_problem(g, small, vs, relabel_to_smaller_star(g, vs, j, i))
+        iso_ok[i] = problem is None
+        if problem:
+            problems.append(f"part {i}: {problem}")
 
     expected_cross = factorial(n - 2) if n >= 2 else 0
     pair_edge_counts: dict[tuple[int, int], int] = {}
@@ -249,7 +227,10 @@ def validate_symbol_partition(g: StarGraph, i: int) -> SymbolPartitionReport:
     small = StarGraph(n - 1) if n >= 2 else None
     iso_ok: dict[int, bool] = {}
     for j, vs in sp.parts.items():
-        iso_ok[j] = _iso_to_smaller_star(g, small, vs, j, i, problems, f"part {j}")
+        problem = _iso_problem(g, small, vs, relabel_to_smaller_star(g, vs, j, i))
+        iso_ok[j] = problem is None
+        if problem:
+            problems.append(f"part {j}: {problem}")
 
     center_edges = 0
     part_pair_edges = 0

@@ -586,6 +586,20 @@ def _update_minimals(minimals, disc_sets):
             known.append(ds)
 
 
+def _construction_witness(g: StarGraph, k: int, mode: str, formula):
+    """The constructed cut as a `mode` witness once its verdict holds; None
+    when there is no formula (k > n-2) to construct against."""
+    if formula is None:
+        return None
+    cut = substar_isolating_cut(g.n, k, graph=g)
+    witness = list(cut.t) if mode == "vertex" else [tuple(e) for e in cut.f]
+    judge = is_k_vertex_cut if mode == "vertex" else is_k_edge_cut
+    verdict = judge(g, witness, k)
+    if not verdict.valid:
+        raise InvariantViolationError(f"constructed cut failed validation: {verdict.reason}")
+    return witness
+
+
 def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
                    workers: int, seed) -> OracleResult:
     t0 = time.monotonic()
@@ -594,19 +608,7 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
     formula = cut_size_formula(n, k) if k <= n - 2 else None
     stats = SearchStats(strategy="subset-enumeration", workers=workers, seed=seed)
 
-    construction_witness = None
-    if formula is not None:
-        cut = substar_isolating_cut(n, k, graph=g)
-        if mode == "vertex":
-            verdict = is_k_vertex_cut(g, cut.t, k)
-            construction_witness = list(cut.t)
-        else:
-            verdict = is_k_edge_cut(g, cut.f, k)
-            construction_witness = [tuple(e) for e in cut.f]
-        if not verdict.valid:
-            raise InvariantViolationError(
-                f"constructed cut failed validation: {verdict.reason}"
-            )
+    construction_witness = _construction_witness(g, k, mode, formula)
 
     rows, ground, edges = _keyed_rows(g.adjacency_lists(), mode)
     if formula is not None:
@@ -774,11 +776,7 @@ def _growth_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
     stats = SearchStats(strategy="component-growth", workers=1, seed=seed)
     stats.notes.append(f"connected induced subgraphs up to size {cap}")
 
-    construction_witness = None
-    if formula is not None:
-        cut = substar_isolating_cut(n, k, graph=g)
-        construction_witness = (list(cut.t) if mode == "vertex"
-                                else [tuple(e) for e in cut.f])
+    construction_witness = _construction_witness(g, k, mode, formula)
 
     in_sub = bytearray(N)
     nbr_cnt = [0] * N

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from starcut.cli import main
 
 
@@ -127,6 +129,20 @@ def test_verify_cut_rejects_length_mismatch(tmp_path):
         json.dumps({"n": 4, "k": 0, "edges": [["1,2,3,4", "1,2,4,3"]]})
     )
     assert main(["verify-cut", "--edges", str(bad_edge)]) == 2
+
+
+@pytest.mark.parametrize("flag, doc", [
+    ("--vertices", ["1,2,3,4"]),
+    ("--vertices", {"n": 4, "k": 0, "vertices": [1234]}),
+    ("--vertices", {"n": "4", "k": 0, "vertices": ["1,2,3,4"]}),
+    ("--edges", {"n": 4, "k": 0, "edges": [["1,2,3,4"]]}),
+], ids=["top-level-list", "numeric-label", "string-n", "one-label-edge"])
+def test_verify_cut_malformed_file_is_a_usage_error(tmp_path, capsys, flag, doc):
+    # exit 1 would read as "the cut is invalid"
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-cut", flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_oracle_exact_exit_zero(capsys):

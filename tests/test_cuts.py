@@ -11,6 +11,7 @@ from starcut import (
     is_k_edge_cut,
     is_k_vertex_cut,
     partition_by_dimension,
+    relabel_to_smaller_star,
     sample_connected_subgraph,
     sample_min_degree_subgraphs,
     substar_iso_ok,
@@ -20,7 +21,7 @@ from starcut import (
     verify_witness_exhaustive,
     witness_position,
 )
-from starcut.core import induced_min_degree, perm_unrank
+from starcut.core import _iso_problem, induced_min_degree, perm_unrank
 from helpers import rank_of, ranks_of
 
 
@@ -64,6 +65,29 @@ def test_construction_substar_is_isomorphic():
             cut = substar_isolating_cut(n, k, graph=g)
             assert substar_iso_ok(g, cut.x, k)
             assert len(cut.t) == len(cut.f) == cut_size_formula(n, k)
+
+
+def test_substar_iso_rejects_non_substars(s4):
+    # k=1: X must be two vertices sharing a suffix, with symbols 3,4 up front
+    assert substar_iso_ok(s4, ranks_of("3412", "4312"), 1)
+    assert not substar_iso_ok(s4, ranks_of("3412"), 1)
+    assert not substar_iso_ok(s4, ranks_of("3412", "4321"), 1)
+    assert not substar_iso_ok(s4, ranks_of("1234", "2134"), 1)
+
+
+def test_iso_problem_names_a_broken_edge(s4):
+    part = partition_by_dimension(s4, 4).parts[4]  # an induced 6-cycle
+    mapping = relabel_to_smaller_star(s4, part, 4, 4)
+    small = StarGraph(3)
+    assert _iso_problem(s4, small, part, mapping) is None
+    u, w = part[0], part[1]
+    mapping[u], mapping[w] = mapping[w], mapping[u]
+    problem = _iso_problem(s4, small, part, mapping)
+    assert problem.startswith("edge (") and problem.endswith("has non-adjacent image")
+    a, b = map(int, problem[len("edge ("):problem.index(")")].split(","))
+    assert a in part and b in part and s4.has_edge(a, b)
+    mapping[u] = mapping[w]
+    assert "not a bijection" in _iso_problem(s4, small, part, mapping)
 
 
 def test_vertex_cut_verdict_for_construction(s4):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starcut import decomposition
 from starcut import (
     InputError,
     StarGraph,
@@ -157,6 +158,22 @@ def test_validate_symbol_partition_small():
             assert rep.part_pair_edge_count == 0
             assert all(s == factorial(n - 1) for s in rep.matching_sizes.values())
             assert all(rep.matching_saturates.values())
+
+
+@pytest.mark.parametrize("validate", [validate_dimension_partition,
+                                      validate_symbol_partition])
+def test_validators_reject_a_broken_relabeling(s4, monkeypatch, validate):
+    def swapped(g, part, j, i):
+        mapping = relabel_to_smaller_star(g, part, j, i)
+        u, w = part[0], part[1]
+        mapping[u], mapping[w] = mapping[w], mapping[u]
+        return mapping
+
+    monkeypatch.setattr(decomposition, "relabel_to_smaller_star", swapped)
+    rep = validate(s4, 2)
+    assert not rep.ok and not any(rep.iso_ok.values())
+    assert any(p.startswith("part ") and "non-adjacent image" in p
+               for p in rep.problems)
 
 
 def test_validate_symbol_partition_s5_example(s5):

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import time
 import types
@@ -7,6 +8,7 @@ import pytest
 from starcut import oracle
 from starcut import (
     InputError,
+    InvariantViolationError,
     SearchBudget,
     StarGraph,
     classical_connectivity,
@@ -236,3 +238,20 @@ def test_compare_formula_large_cells_are_bounds():
     assert row.oracle_kind == "upper-bound-only"
     assert row.oracle_value == row.formula == cut_size_formula(6, 4)
     assert row.agree
+
+
+@pytest.mark.parametrize("strategy", ["subset-enumeration", "component-growth"])
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_searches_validate_the_construction_witness(s4, monkeypatch, strategy, mode):
+    # a construction that misses one vertex of T (one edge of F) leaves X
+    # attached, so neither strategy may report it as a witness
+    real = oracle.substar_isolating_cut
+
+    def short(n, k, graph=None):
+        cut = real(n, k, graph=graph)
+        return dataclasses.replace(cut, t=cut.t[1:], f=cut.f[1:])
+
+    monkeypatch.setattr(oracle, "substar_isolating_cut", short)
+    search = exact_kappa_super if mode == "vertex" else exact_lambda_super
+    with pytest.raises(InvariantViolationError):
+        search(s4, 1, budget=SearchBudget(strategy=strategy))
