@@ -18,6 +18,7 @@ import sys
 from math import factorial
 
 from .core import (
+    AUTO_MATERIALIZE_MAX_N,
     CapacityError,
     InputError,
     StarGraph,
@@ -271,6 +272,9 @@ def cmd_verify_cut(args) -> int:
     if type(n) is not int or type(k) is not int:
         raise InputError(f"n and k must be integers from the file or from "
                          f"--n/--k, got {n!r} and {k!r}")
+    if n > AUTO_MATERIALIZE_MAX_N:
+        raise InputError(f"verify-cut judges n <= {AUTO_MATERIALIZE_MAX_N}: a verdict "
+                         f"walks the materialized graph, got n={n}")
     g = StarGraph(n)
 
     def rank(text):

@@ -10,8 +10,9 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
 * component growth enumerates connected induced subgraphs exactly once
   (anchor rule) and scores their neighborhoods or edge boundaries.
 
-A result is labeled exact only together with a machine-checkable statement
-of what was exhausted; anything truncated by budget is an upper bound.
+Each strategy reports only what it proved; one rule in `_oracle` labels the
+result.  It is exact only together with a statement of what was exhausted;
+anything truncated by budget is an upper bound.
 """
 
 from __future__ import annotations
@@ -237,34 +238,6 @@ def classical_connectivity(g: StarGraph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _combo_unrank_lex(idx: int, n: int, r: int) -> list[int]:
-    """idx-th r-combination of range(n) in lexicographic order."""
-    out = []
-    x = 0
-    for pos in range(r):
-        while True:
-            c = comb(n - 1 - x, r - pos - 1)
-            if idx < c:
-                out.append(x)
-                x += 1
-                break
-            idx -= c
-            x += 1
-    return out
-
-
-def _combo_next(c: list[int], n: int) -> bool:
-    """Advance a sorted combination of range(n) in place; False when done."""
-    r = len(c)
-    for i in range(r - 1, -1, -1):
-        if c[i] != i + n - r:
-            c[i] += 1
-            for j in range(i + 1, r):
-                c[j] = c[j - 1] + 1
-            return True
-    return False
-
-
 @dataclass
 class _LevelPlan:
     size: int
@@ -311,18 +284,10 @@ def _plan_level(ground: int, s: int, node_budget: int | None) -> _LevelPlan:
 
 def _make_tasks(plan: _LevelPlan, workers: int) -> list[tuple[int, int, int, int, int]]:
     """Slice the base sequence into (s, L, inner_start, count, x_end) spans."""
-    if plan.bases_total == 0:
-        return []
-    chunk = max(512, plan.bases_total // max(1, workers * 6))
-    chunk = min(chunk, 65536)
-    tasks = []
-    for L, first, cnt, x_end in plan.groups:
-        off = 0
-        while off < cnt:
-            take = min(chunk, cnt - off)
-            tasks.append((plan.size, L, first + off, take, x_end))
-            off += take
-    return tasks
+    chunk = min(max(512, plan.bases_total // max(1, workers * 6)), 65536)
+    return [(plan.size, L, first + off, min(chunk, cnt - off), x_end)
+            for L, first, cnt, x_end in plan.groups
+            for off in range(0, cnt, chunk)]
 
 
 class _WorkerState:
@@ -475,7 +440,10 @@ def _check_removal(ws: _WorkerState, removal, k):
 
 
 def _run_task(task):
-    """Decide every subset covered by a span of bases; see _plan_level."""
+    """Decide every subset covered by a span of bases; see _plan_level.
+
+    Returns (nodes, checked, smallest valid removal or None, disconnecting
+    removals, expired)."""
     ws = _WS
     s, L, start, count, x_end = task
     k = ws.k
@@ -488,45 +456,33 @@ def _run_task(task):
     expired = False
 
     if L == -1:
-        rest: list[int] = []
-        iters = 1
+        bases = [()]
     else:
-        rest = _combo_unrank_lex(start, L, s - 2)
-        iters = count
+        rests = itertools.islice(itertools.combinations(range(L), s - 2),
+                                 start, start + count)
+        bases = (rest + (L,) for rest in rests)
 
-    for it in range(iters):
+    for it, base in enumerate(bases):
         if deadline is not None and (it & 255) == 0 and time.monotonic() > deadline:
             expired = True
             break
-        base = rest + [L] if L != -1 else []
         ncomp, critical = _scan(ws, base)
-        floor = L
         if ncomp >= 2 or (vertex and ws.N - s < 2):
             # already split, or the extension leaves fewer than two
             # survivors, which counts as disconnected by convention
-            cands = range(floor + 1, x_end)
+            cands = range(L + 1, x_end)
         else:
-            cands = sorted(c for c in critical if floor < c < x_end)
+            cands = sorted(c for c in critical if L < c < x_end)
         for x in cands:
-            removal = base + [x]
+            removal = base + (x,)
             disconnected, valid = _check_removal(ws, removal, k)
             checked += 1
             if disconnected and ws.track_disconnectors:
-                disc_sets.append(tuple(removal))
-            if valid:
-                t = tuple(removal)
-                if best is None or t < best:
-                    best = t
-        nodes += x_end - 1 - floor
-        if it + 1 < iters and not _combo_next(rest, L):
-            break
-    return {
-        "nodes": nodes,
-        "checked": checked,
-        "best": best,
-        "disc": disc_sets,
-        "expired": expired,
-    }
+                disc_sets.append(removal)
+            if valid and (best is None or removal < best):
+                best = removal
+        nodes += x_end - 1 - L
+    return nodes, checked, best, disc_sets, expired
 
 
 def _parity_superset_candidates(minimals, s, ground):
@@ -560,22 +516,6 @@ def _parity_superset_candidates(minimals, s, ground):
     return sorted(cands)
 
 
-def _fold_results(results):
-    nodes = 0
-    checked = 0
-    best = None
-    disc: list[tuple] = []
-    expired = False
-    for r in results:
-        nodes += r["nodes"]
-        checked += r["checked"]
-        if r["best"] is not None and (best is None or r["best"] < best):
-            best = r["best"]
-        disc.extend(r["disc"])
-        expired = expired or r["expired"]
-    return nodes, checked, best, disc, expired
-
-
 def _update_minimals(minimals, disc_sets):
     """Keep only disconnecting sets that contain no previously known one."""
     known = [set(m) for m in minimals]
@@ -600,16 +540,14 @@ def _construction_witness(g: StarGraph, k: int, mode: str, formula):
     return witness
 
 
-def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
-                   workers: int, seed) -> OracleResult:
-    t0 = time.monotonic()
-    deadline = t0 + budget.max_wall_time if budget.max_wall_time else None
+def _subset_search(g: StarGraph, k: int, mode: str, stats: SearchStats,
+                   max_nodes: int | None, deadline: float | None, workers: int,
+                   formula: int | None):
+    """Walk removal sets in ascending size below the formula; see _oracle.
+
+    The first size holding a valid removal is the minimum, since every
+    smaller size was decided in full."""
     n = g.n
-    formula = cut_size_formula(n, k) if k <= n - 2 else None
-    stats = SearchStats(strategy="subset-enumeration", workers=workers, seed=seed)
-
-    construction_witness = _construction_witness(g, k, mode, formula)
-
     rows, ground, edges = _keyed_rows(g.adjacency_lists(), mode)
     if formula is not None:
         max_size = formula - 1
@@ -637,7 +575,6 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
 
     minimals: list[tuple] = []
     best = None
-    best_size = None
     truncated = False
     nodes = 0
     checked = 0
@@ -647,7 +584,7 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
             if s < conn_lb:
                 stats.pruned_sizes.append(s)
                 continue
-            remaining = budget.max_nodes - nodes if budget.max_nodes is not None else None
+            remaining = max_nodes - nodes if max_nodes is not None else None
             if remaining is not None and remaining <= 0:
                 truncated = True
                 break
@@ -655,28 +592,25 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
                 truncated = True
                 break
 
-            level_done = False
+            cands = None
             if parity and s % 2 == 1:
                 cands = _parity_superset_candidates(minimals, s, ground)
-                if cands is not None:
-                    if remaining is not None and len(cands) > remaining:
-                        cands = cands[:remaining]
+            if cands is not None:
+                if remaining is not None and len(cands) > remaining:
+                    cands = cands[:remaining]
+                    truncated = True
+                _init_worker(payload)
+                for i, cand in enumerate(cands):
+                    if deadline is not None and (i & 255) == 0 \
+                            and time.monotonic() > deadline:
                         truncated = True
-                    _init_worker(payload)
-                    for i, cand in enumerate(cands):
-                        if deadline is not None and (i & 255) == 0 \
-                                and time.monotonic() > deadline:
-                            truncated = True
-                            break
-                        _, valid = _check_removal(_WS, cand, k)
-                        checked += 1
-                        nodes += 1
-                        if valid and (best is None or cand < best):
-                            best = cand
-                            best_size = s
-                    level_done = True
-
-            if not level_done:
+                        break
+                    _, valid = _check_removal(_WS, cand, k)
+                    checked += 1
+                    nodes += 1
+                    if valid and (best is None or cand < best):
+                        best = cand
+            else:
                 plan = _plan_level(ground, s, remaining)
                 if plan.truncated:
                     truncated = True
@@ -690,20 +624,20 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
                                         initargs=(payload,))
                     # unordered, so a failing task raises at once; the fold
                     # below does not depend on the order
-                    results = list(pool.imap_unordered(_run_task, tasks))
+                    results = pool.imap_unordered(_run_task, tasks)
                 else:
                     _init_worker(payload)
-                    results = [_run_task(t) for t in tasks]
-                lv_nodes, lv_checked, lv_best, lv_disc, expired = _fold_results(results)
-                nodes += lv_nodes
-                checked += lv_checked
-                if expired:
-                    truncated = True
-                if lv_best is not None and best is None:
-                    best = lv_best
-                    best_size = s
+                    results = map(_run_task, tasks)
+                disc: list[tuple] = []
+                for t_nodes, t_checked, t_best, t_disc, t_expired in results:
+                    nodes += t_nodes
+                    checked += t_checked
+                    if t_best is not None and (best is None or t_best < best):
+                        best = t_best
+                    disc.extend(t_disc)
+                    truncated = truncated or t_expired
                 if parity and not truncated:
-                    _update_minimals(minimals, lv_disc)
+                    _update_minimals(minimals, disc)
 
             stats.sizes_examined.append(s)
             if best is not None or truncated:
@@ -720,36 +654,22 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
 
     stats.nodes = nodes
     stats.candidates_checked = checked
-    stats.wall_time = time.monotonic() - t0
 
     if best is not None:
-        # every smaller size was exhausted, so the first hit is the minimum
-        stats.completed = True
-        value = best_size
-        witness = [edges[e] for e in best] if mode == "edge" else list(best)
-        if formula is not None and value < formula:
+        if formula is not None and len(best) < formula:
             stats.notes.append("found a cut below the constructive bound")
-        return OracleResult(mode=mode, n=n, k=k, kind="exact", value=value,
-                            witness=witness, formula=formula, stats=stats)
+        witness = [edges[e] for e in best] if mode == "edge" else list(best)
+        return True, len(best), witness
     if truncated:
-        stats.completed = False
         stats.notes.append("budget exhausted before the search class was decided")
-        return OracleResult(mode=mode, n=n, k=k, kind="upper-bound-only",
-                            value=formula, witness=construction_witness,
-                            formula=formula, stats=stats)
-    if formula is not None:
-        stats.completed = True
+    elif formula is not None:
         stats.notes.append(
             f"all removal sets of size < {formula} decided invalid; the "
             "constructed cut attains the bound"
         )
-        return OracleResult(mode=mode, n=n, k=k, kind="exact", value=formula,
-                            witness=construction_witness, formula=formula,
-                            stats=stats)
-    stats.completed = True
-    stats.notes.append("every proper removal set was decided; no valid cut exists")
-    return OracleResult(mode=mode, n=n, k=k, kind="no-cut-exists", value=None,
-                        witness=None, formula=None, stats=stats)
+    else:
+        stats.notes.append("every proper removal set was decided; no valid cut exists")
+    return not truncated, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +677,8 @@ def _subset_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
 # ---------------------------------------------------------------------------
 
 
-def _growth_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
-                   seed) -> OracleResult:
+def _growth_search(g: StarGraph, k: int, mode: str, stats: SearchStats,
+                   max_nodes: int | None, deadline: float | None):
     """Enumerate connected induced subgraphs once each and score their cuts.
 
     The smallest side of any optimal cut is such a subgraph of size at most
@@ -766,17 +686,10 @@ def _growth_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
     a sound lower bound; candidates that validate give the upper bound.
     For edge cuts both bounds meet automatically once the class is spent.
     """
-    t0 = time.monotonic()
-    deadline = t0 + budget.max_wall_time if budget.max_wall_time else None
-    n = g.n
     N = g.num_vertices
     adj = g.adjacency_lists()
-    formula = cut_size_formula(n, k) if k <= n - 2 else None
     cap = N // 2
-    stats = SearchStats(strategy="component-growth", workers=1, seed=seed)
     stats.notes.append(f"connected induced subgraphs up to size {cap}")
-
-    construction_witness = _construction_witness(g, k, mode, formula)
 
     in_sub = bytearray(N)
     nbr_cnt = [0] * N
@@ -785,7 +698,6 @@ def _growth_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
         "nodes": 0, "truncated": False, "lb": inf, "ub": inf, "witness": None,
         "edges_in": 0, "boundary": 0, "below_k": 0,
     }
-    max_nodes = budget.max_nodes
 
     def add(v):
         in_sub[v] = 1
@@ -889,39 +801,20 @@ def _growth_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
         remove(v)
 
     stats.nodes = state["nodes"]
-    stats.wall_time = time.monotonic() - t0
-    stats.lower_bound = None if state["lb"] is inf else state["lb"]
     lb, ub = state["lb"], state["ub"]
-
-    if not state["truncated"]:
-        stats.completed = True
-        if mode == "edge":
-            if ub is not inf:
-                return OracleResult(mode=mode, n=n, k=k, kind="exact", value=ub,
-                                    witness=state["witness"], formula=formula,
-                                    stats=stats)
-            stats.notes.append("no side with both induced minimum degrees >= k exists")
-            return OracleResult(mode=mode, n=n, k=k, kind="no-cut-exists",
-                                value=None, witness=None, formula=formula,
-                                stats=stats)
-        if lb is inf:
-            stats.notes.append("no admissible side exists, so no cut exists")
-            return OracleResult(mode=mode, n=n, k=k, kind="no-cut-exists",
-                                value=None, witness=None, formula=formula,
-                                stats=stats)
-        if ub == lb:
-            return OracleResult(mode=mode, n=n, k=k, kind="exact", value=ub,
-                                witness=state["witness"], formula=formula,
-                                stats=stats)
+    stats.lower_bound = None if lb is inf else lb
+    value = None if ub is inf else ub
+    if state["truncated"]:
+        return False, value, state["witness"]
+    if mode == "vertex" and lb is not inf and ub != lb:
         stats.notes.append("bounds did not close: some minimal neighborhood "
                            "failed remainder degree validation")
-    stats.completed = False
-    if ub is not inf and (formula is None or ub <= formula):
-        value, witness = ub, state["witness"]
-    else:
-        value, witness = formula, construction_witness
-    return OracleResult(mode=mode, n=n, k=k, kind="upper-bound-only", value=value,
-                        witness=witness, formula=formula, stats=stats)
+        return False, value, state["witness"]
+    if value is None:
+        stats.notes.append("no side with both induced minimum degrees >= k exists"
+                           if mode == "edge" else
+                           "no admissible side exists, so no cut exists")
+    return True, value, state["witness"]
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +824,19 @@ def _growth_search(g: StarGraph, k: int, mode: str, budget: SearchBudget,
 
 def _oracle(g: StarGraph, k: int, mode: str, budget: SearchBudget | None,
             workers: int, seed) -> OracleResult:
+    """Run one strategy and label what it proved; the one labelling rule.
+
+    A strategy returns (proved, value, witness): value is the smallest
+    valid cut it found, or None, and proved means its search class rules
+    out every smaller cut (with no value: every cut below the formula, or
+    every cut at all when there is no formula).  A missing value, or one
+    above the formula, gives way to the validated construction at the
+    formula; on a tie the search keeps its own witness.  The result is
+    exact when proved with a value, no-cut-exists when proved without one,
+    and an upper bound otherwise.  A growth search never proves "no cut"
+    while a formula exists, which would read as exact here: the substar X
+    is itself an admissible side whose boundary equals the formula.
+    """
     if g.n < 2:
         raise InputError("cut searches need n >= 2")
     if k < 0:
@@ -938,9 +844,28 @@ def _oracle(g: StarGraph, k: int, mode: str, budget: SearchBudget | None,
     if workers < 1:
         raise InputError("workers must be >= 1")
     budget = budget or SearchBudget()
+    t0 = time.monotonic()
+    deadline = t0 + budget.max_wall_time if budget.max_wall_time else None
+    formula = cut_size_formula(g.n, k) if k <= g.n - 2 else None
+    construction = _construction_witness(g, k, mode, formula)
     if budget.strategy == "component-growth":
-        return _growth_search(g, k, mode, budget, seed)
-    return _subset_search(g, k, mode, budget, workers, seed)
+        stats = SearchStats(strategy="component-growth", workers=1, seed=seed)
+        proved, value, witness = _growth_search(g, k, mode, stats, budget.max_nodes,
+                                                deadline)
+    else:
+        stats = SearchStats(strategy="subset-enumeration", workers=workers, seed=seed)
+        proved, value, witness = _subset_search(g, k, mode, stats, budget.max_nodes,
+                                                deadline, workers, formula)
+    stats.wall_time = time.monotonic() - t0
+    stats.completed = proved
+    if formula is not None and (value is None or value > formula):
+        value, witness = formula, construction
+    if not proved:
+        kind = "upper-bound-only"
+    else:
+        kind = "exact" if value is not None else "no-cut-exists"
+    return OracleResult(mode=mode, n=g.n, k=k, kind=kind, value=value,
+                        witness=witness, formula=formula, stats=stats)
 
 
 def exact_kappa_super(g: StarGraph, k: int, budget: SearchBudget | None = None,

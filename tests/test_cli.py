@@ -1,10 +1,18 @@
 import json
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from starcut.cli import main
+
+# argv -> {"rc", "stdout"} of `starcut oracle`, recorded once from a known-good
+# build and compared byte for byte; never re-record it to match a change
+ORACLE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "oracle.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +151,27 @@ def test_verify_cut_malformed_file_is_a_usage_error(tmp_path, capsys, flag, doc)
     path.write_text(json.dumps(doc))
     assert main(["verify-cut", flag, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_cut_refuses_graphs_too_large_to_judge(tmp_path, capsys):
+    # a verdict walks all n! vertices of the materialized graph
+    n10 = tmp_path / "n10.json"
+    n10.write_text(json.dumps({"n": 10, "k": 0, "vertices": ["1,2,3,4,5,6,7,8,9,10"]}))
+    n13 = tmp_path / "n13.json"
+    n13.write_text(json.dumps({"n": 4, "k": 0,
+                               "vertices": [",".join(map(str, range(1, 14)))]}))
+    for argv in (["verify-cut", "--vertices", str(n10)],
+                 ["verify-cut", "--vertices", str(n13), "--n", "13"]):
+        t0 = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - t0 < 5
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_GOLDEN))
+def test_oracle_output_matches_golden(capsys, argv):
+    code, out = run_cli(capsys, *argv.split())
+    assert (code, out) == (ORACLE_GOLDEN[argv]["rc"], ORACLE_GOLDEN[argv]["stdout"])
 
 
 def test_oracle_exact_exit_zero(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import multiprocessing
 import time
 import types
@@ -255,3 +256,29 @@ def test_searches_validate_the_construction_witness(s4, monkeypatch, strategy, m
     search = exact_kappa_super if mode == "vertex" else exact_lambda_super
     with pytest.raises(InvariantViolationError):
         search(s4, 1, budget=SearchBudget(strategy=strategy))
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(n - 1)]
+                         + [(3, 2)])
+def test_every_result_keeps_the_honesty_contract(n, k, mode):
+    g = StarGraph(n)
+    search = exact_kappa_super if mode == "vertex" else exact_lambda_super
+    judge = is_k_vertex_cut if mode == "vertex" else is_k_edge_cut
+    runs = [("subset-enumeration", 1), ("subset-enumeration", 2),
+            ("component-growth", 1)]
+    for (strategy, workers), max_nodes in itertools.product(runs, (None, 1, 50, 500)):
+        res = search(g, k, budget=SearchBudget(strategy=strategy, max_nodes=max_nodes),
+                     workers=workers)
+        where = (strategy, workers, max_nodes, res.kind, res.value)
+        assert res.stats.completed == (res.kind != "upper-bound-only"), where
+        if res.kind == "no-cut-exists":
+            assert (res.formula, res.value, res.witness) == (None, None, None), where
+        if res.value is not None:
+            assert len(res.witness) == res.value, where
+            assert judge(g, res.witness, k).valid, where
+            assert res.formula is None or res.value <= res.formula, where
+        elif res.kind == "upper-bound-only":
+            assert res.formula is None and res.witness is None, where
+        if res.kind == "exact" and res.formula is not None:
+            assert res.value == res.formula, where
