@@ -167,8 +167,16 @@ def _parse_by(text: str) -> tuple[str, int]:
         raise InputError(f"bad index in --by: {idx!r}") from None
 
 
+def _walked_graph(cmd: str, n: int) -> StarGraph:
+    """The graph for a command that walks all n! vertices; refuses n > 9."""
+    if n > AUTO_MATERIALIZE_MAX_N:
+        raise InputError(f"{cmd} needs n <= {AUTO_MATERIALIZE_MAX_N}: it walks every "
+                         f"vertex of the materialized graph, got n={n}")
+    return StarGraph(n)
+
+
 def cmd_decompose(args) -> int:
-    g = StarGraph(args.n)
+    g = _walked_graph("decompose", args.n)
     kind, idx = _parse_by(args.by)
     if kind == "dimension":
         rep = validate_dimension_partition(g, idx)
@@ -272,10 +280,7 @@ def cmd_verify_cut(args) -> int:
     if type(n) is not int or type(k) is not int:
         raise InputError(f"n and k must be integers from the file or from "
                          f"--n/--k, got {n!r} and {k!r}")
-    if n > AUTO_MATERIALIZE_MAX_N:
-        raise InputError(f"verify-cut judges n <= {AUTO_MATERIALIZE_MAX_N}: a verdict "
-                         f"walks the materialized graph, got n={n}")
-    g = StarGraph(n)
+    g = _walked_graph("verify-cut", n)
 
     def rank(text):
         if not isinstance(text, str):
@@ -382,12 +387,12 @@ def _check_lines(g: StarGraph, seed: int, samples: int):
                        f"matchings={sorted(rep.matching_sizes.values())} "
                        f"stray={rep.part_pair_edge_count}"))
 
-    if 2 <= n <= 6:
+    if 2 <= n <= 7:
         kappa, lam = classical_connectivity(g)
         ok = kappa == n - 1 and lam == n - 1
         checks.append(("classical-connectivity", ok, f"kappa={kappa} lambda={lam}"))
-    elif n > 6:
-        checks.append(("classical-connectivity", True, "skipped (n > 6)"))
+    elif n > 7:
+        checks.append(("classical-connectivity", True, "skipped (n > 7)"))
 
     for k in range(0, n - 1):
         cut = substar_isolating_cut(n, k, graph=g)
@@ -437,7 +442,9 @@ def _check_lines(g: StarGraph, seed: int, samples: int):
 
 
 def cmd_check(args) -> int:
-    g = StarGraph(args.n)
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
+    g = _walked_graph("check", args.n)
     checks = _check_lines(g, args.seed, args.samples)
     all_ok = all(ok for _, ok, _ in checks)
     if args.format == "json":

@@ -2,12 +2,15 @@
 
 Everything here deliberately avoids the library's code paths: neighbors via
 permutation composition, components via union-find, minimum cuts via plain
-subset enumeration with its own connectivity check.
+subset enumeration with its own connectivity check.  The one exception is
+`connectivity_by_every_target`, which reuses the library's flow kernel and
+differs from `classical_connectivity` only in the targets it sends flow to.
 """
 
 import itertools
 
 from starcut import parse_perm, perm_rank
+from starcut.oracle import _edge_network, _max_flow_unit, _vertex_split_network
 
 
 def rank_of(text: str) -> int:
@@ -135,3 +138,24 @@ def brute_min_k_cut(num_vertices, edges, k, mode):
             if disconnected and degrees_ok(removed_v, removed_e):
                 return size
     return None
+
+
+def connectivity_by_every_target(g):
+    """(vertex, edge) connectivity with one max flow from rank 0 per other vertex.
+
+    No symmetry is used: vertex flows go to every non-neighbor of rank 0 and
+    edge flows to every other vertex.  With no non-neighbors the graph is
+    complete and the vertex connectivity is |V| - 1.
+    """
+    adj = g.adjacency_lists()
+    nbrs = set(adj[0])
+    others = range(1, g.num_vertices)
+    heads, to, cap0 = _vertex_split_network(adj)
+    kappa = min(
+        (_max_flow_unit(heads, to, cap0.copy(), 1, 2 * t, g.degree)
+         for t in others if t not in nbrs),
+        default=g.num_vertices - 1,
+    )
+    heads, to, cap0 = _edge_network(adj)
+    lam = min(_max_flow_unit(heads, to, cap0.copy(), 0, t, g.degree) for t in others)
+    return kappa, lam

@@ -224,6 +224,23 @@ def test_check_json(capsys):
     assert any("exhaustive" in name for name in names)
 
 
+def test_check_rejects_negative_samples(capsys):
+    assert main(["check", "6", "--samples", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_check_and_decompose_refuse_graphs_too_large_to_walk(capsys):
+    # both walk all n! vertices; n = 10 ran past 15 s before the refusal
+    for argv in (["check", "10", "--samples", "1"],
+                 ["decompose", "10", "--by", "symbol:1"]):
+        t0 = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - t0 < 5
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     # argparse reports missing arguments through SystemExit(2)
     proc = subprocess.run(

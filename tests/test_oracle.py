@@ -3,6 +3,7 @@ import itertools
 import multiprocessing
 import time
 import types
+from math import factorial
 
 import pytest
 
@@ -19,8 +20,14 @@ from starcut import (
     exact_lambda_super,
     is_k_edge_cut,
     is_k_vertex_cut,
+    perm_rank,
+    perm_unrank,
 )
-from helpers import brute_min_k_cut
+from helpers import (
+    UnionFind,
+    brute_min_k_cut,
+    connectivity_by_every_target,
+)
 
 
 def test_classical_connectivity_values(s3, s4, s5):
@@ -30,6 +37,88 @@ def test_classical_connectivity_values(s3, s4, s5):
     assert classical_connectivity(s5) == (4, 4)
     with pytest.raises(InputError):
         classical_connectivity(StarGraph(1))
+
+
+def test_classical_connectivity_s7():
+    assert classical_connectivity(StarGraph(7)) == (6, 6)
+
+
+def _conjugations(n):
+    """Rank tables of p -> sigma p sigma^-1, one for each sigma with sigma(0) = 0."""
+    perms = [perm_unrank(r, n) for r in range(factorial(n))]
+    for rest in itertools.permutations(range(1, n)):
+        sigma = (0,) + rest
+        inv = sorted(range(n), key=sigma.__getitem__)
+        yield [perm_rank(tuple(sigma[p[inv[j]]] for j in range(n))) for p in perms]
+
+
+def _orbit_key(p):
+    """Sorted cycle lengths of p, and the length of its cycle through 0."""
+    lengths, seen = [], set()
+    for start in range(len(p)):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = p[j], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths)), lengths[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stabilizer_orbits_are_keyed_by_cycle_type(n):
+    g = StarGraph(n)
+    V = g.num_vertices
+    adj = g.adjacency_lists()
+    uf = UnionFind(V)
+    for phi in _conjugations(n):
+        # an automorphism of the star graph that fixes the identity
+        assert phi[0] == 0
+        for v in range(V):
+            assert sorted(phi[w] for w in adj[v]) == sorted(adj[phi[v]])
+            uf.union(v, phi[v])
+    orbits, by_key = {}, {}
+    for v in range(V):
+        orbits.setdefault(uf.find(v), set()).add(v)
+        by_key.setdefault(_orbit_key(g.perm(v)), set()).add(v)
+    assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, by_key.values()))
+    assert oracle._stabilizer_orbit_representatives(n) == sorted(
+        min(orbit) for orbit in orbits.values() if 0 not in orbit
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_targets_match_every_target(n):
+    g = StarGraph(n)
+    assert classical_connectivity(g) == connectivity_by_every_target(g) == (n - 1, n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classical_connectivity_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    g = StarGraph(n)
+    G = nx.Graph(list(g.edges()))
+    assert classical_connectivity(g) == (nx.node_connectivity(G), nx.edge_connectivity(G))
+
+
+def test_one_flow_run_per_orbit(monkeypatch, s6):
+    # one run per non-neighbor (and one adjacent pair) would be 1,429 for S6
+    monkeypatch.setattr(oracle, "_CLASSICAL_CACHE", {})
+    runs = 0
+    real = oracle._max_flow_unit
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_max_flow_unit", counted)
+    per_n = {}
+    for g in (StarGraph(2), StarGraph(3), StarGraph(4), StarGraph(5), s6):
+        runs = 0
+        assert classical_connectivity(g) == (g.n - 1, g.n - 1)
+        per_n[g.n] = runs
+    assert per_n == {2: 1, 3: 5, 4: 11, 5: 21, 6: 35}
 
 
 def test_exact_values_small():
