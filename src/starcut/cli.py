@@ -167,16 +167,16 @@ def _parse_by(text: str) -> tuple[str, int]:
         raise InputError(f"bad index in --by: {idx!r}") from None
 
 
-def _walked_graph(cmd: str, n: int) -> StarGraph:
-    """The graph for a command that walks all n! vertices; refuses n > 9."""
+def _walkable(cmd: str, n: int) -> int:
+    """n for a command that walks all n! vertices; refuses n > 9."""
     if n > AUTO_MATERIALIZE_MAX_N:
         raise InputError(f"{cmd} needs n <= {AUTO_MATERIALIZE_MAX_N}: it walks every "
                          f"vertex of the materialized graph, got n={n}")
-    return StarGraph(n)
+    return n
 
 
 def cmd_decompose(args) -> int:
-    g = _walked_graph("decompose", args.n)
+    g = StarGraph(_walkable("decompose", args.n))
     kind, idx = _parse_by(args.by)
     if kind == "dimension":
         rep = validate_dimension_partition(g, idx)
@@ -280,7 +280,7 @@ def cmd_verify_cut(args) -> int:
     if type(n) is not int or type(k) is not int:
         raise InputError(f"n and k must be integers from the file or from "
                          f"--n/--k, got {n!r} and {k!r}")
-    g = _walked_graph("verify-cut", n)
+    g = StarGraph(_walkable("verify-cut", n))
 
     def rank(text):
         if not isinstance(text, str):
@@ -309,7 +309,7 @@ def cmd_verify_cut(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = StarGraph(args.n)
+    g = StarGraph(_walkable("oracle", args.n))
     budget = SearchBudget(
         max_nodes=args.max_nodes,
         max_wall_time=args.max_seconds,
@@ -356,7 +356,7 @@ def cmd_oracle(args) -> int:
 def cmd_table(args) -> int:
     budget = SearchBudget(max_nodes=args.max_nodes)
     rows = compare_formula(
-        range(2, args.max_n + 1),
+        range(2, _walkable("table", args.max_n) + 1),
         budget=budget,
         workers=_threads(args),
         seed=args.seed,
@@ -444,7 +444,7 @@ def _check_lines(g: StarGraph, seed: int, samples: int):
 def cmd_check(args) -> int:
     if args.samples < 0:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
-    g = _walked_graph("check", args.n)
+    g = StarGraph(_walkable("check", args.n))
     checks = _check_lines(g, args.seed, args.samples)
     all_ok = all(ok for _, ok, _ in checks)
     if args.format == "json":

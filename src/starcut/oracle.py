@@ -7,12 +7,18 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
   prefix: one articulation-point (or bridge) scan of the partially removed
   graph classifies every extension at once.  Sizes below the classical
   connectivity are pruned wholesale, since such removals cannot disconnect.
+  Odd edge sizes go by boundary parity if the graph is connected and every
+  degree is even.
 * component growth enumerates connected induced subgraphs exactly once
-  (anchor rule) and scores their neighborhoods or edge boundaries.
+  (anchor rule) and scores their neighborhoods or edge boundaries.  Its
+  lower bound holds only on a connected graph.
 
-Each strategy reports only what it proved; one rule in `_oracle` labels the
-result.  It is exact only together with a statement of what was exhausted;
-anything truncated by budget is an upper bound.
+Both read only a plain adjacency list and judge candidates with one removal
+check; `_oracle` alone knows the graph is a star and passes in the formula
+and max-flow connectivity.  Each strategy reports only what it proved; one
+rule in `_oracle` labels the result.  It is exact only together with a
+statement of what was exhausted; anything truncated by budget is an upper
+bound.
 """
 
 from __future__ import annotations
@@ -518,9 +524,10 @@ def _run_task(task):
 def _parity_superset_candidates(minimals, s, ground):
     """Size-s supersets of the tracked minimal disconnecting sets, or None.
 
-    In a graph whose degrees are all even, every removal boundary (and so
-    every minimal disconnecting edge set) has even size; at odd s there are
-    no new minimal sets and the supersets below are the only candidates.
+    In a connected graph whose degrees are all even, every removal boundary
+    (and so every minimal disconnecting edge set) has even size; at odd s
+    there are no new minimal sets and the supersets below are the only
+    candidates.
     Returns None when the candidate space is too large to be worthwhile.
     """
     estimate = 0
@@ -570,38 +577,40 @@ def _construction_witness(g: StarGraph, k: int, mode: str, formula):
     return witness
 
 
-def _subset_search(g: StarGraph, k: int, mode: str, stats: SearchStats,
+def _subset_search(adj, k: int, mode: str, stats: SearchStats,
                    max_nodes: int | None, deadline: float | None, workers: int,
-                   formula: int | None):
-    """Walk removal sets in ascending size below the formula; see _oracle.
+                   formula: int | None, flow_bound: int | None):
+    """Walk removal sets in ascending size, from the max-flow connectivity
+    `flow_bound` (or 1) to below the formula; see _oracle.
 
     The first size holding a valid removal is the minimum, since every
     smaller size was decided in full."""
-    n = g.n
-    rows, ground, edges = _keyed_rows(g.adjacency_lists(), mode)
+    rows, ground, edges = _keyed_rows(adj, mode)
     if formula is not None:
         max_size = formula - 1
     else:
         # a vertex removal must leave at least one survivor
         max_size = ground - 1 if mode == "vertex" else ground
-    parity = mode == "edge" and (n - 1) % 2 == 0
+    payload = {"mode": mode, "rows": rows, "ground": ground, "k": k,
+               "deadline": deadline, "track_disconnectors": False}
+    # a minimal disconnecting edge set is a bond only in a connected graph
+    parity = (mode == "edge" and all(len(row) % 2 == 0 for row in rows)
+              and _scan(_WorkerState(payload), ())[0] == 1)
     if parity:
+        payload["track_disconnectors"] = True
         stats.notes.append(
             "odd sizes decided by boundary parity: every degree is even, so "
             "minimal disconnecting edge sets have even size"
         )
-    payload = {"mode": mode, "rows": rows, "ground": ground, "k": k,
-               "deadline": deadline, "track_disconnectors": parity}
 
     conn_lb = 1
-    if 2 <= n <= _FLOW_PREFILTER_MAX_N:
-        kappa, lam = classical_connectivity(g)
-        conn_lb = kappa if mode == "vertex" else lam
-        stats.lower_bound = conn_lb
+    if flow_bound is not None:
+        conn_lb = stats.lower_bound = flow_bound
         stats.notes.append(
             f"sizes below {conn_lb} pruned: smaller removals cannot disconnect "
             "(classical connectivity computed by max flow)"
         )
+    stats.pruned_sizes.extend(range(1, min(conn_lb, max_size + 1)))
 
     minimals: list[tuple] = []
     best = None
@@ -610,10 +619,7 @@ def _subset_search(g: StarGraph, k: int, mode: str, stats: SearchStats,
     checked = 0
     pool = None
     try:
-        for s in range(1, max_size + 1):
-            if s < conn_lb:
-                stats.pruned_sizes.append(s)
-                continue
+        for s in range(conn_lb, max_size + 1):
             remaining = max_nodes - nodes if max_nodes is not None else None
             if remaining is not None and remaining <= 0:
                 truncated = True
@@ -707,7 +713,7 @@ def _subset_search(g: StarGraph, k: int, mode: str, stats: SearchStats,
 # ---------------------------------------------------------------------------
 
 
-def _growth_search(g: StarGraph, k: int, mode: str, stats: SearchStats,
+def _growth_search(adj, k: int, mode: str, stats: SearchStats,
                    max_nodes: int | None, deadline: float | None):
     """Enumerate connected induced subgraphs once each and score their cuts.
 
@@ -715,106 +721,91 @@ def _growth_search(g: StarGraph, k: int, mode: str, stats: SearchStats,
     |V|/2 with induced minimum degree >= k, so exhausting that class yields
     a sound lower bound; candidates that validate give the upper bound.
     For edge cuts both bounds meet automatically once the class is spent.
+    The adjacency list must describe a connected graph: a whole component
+    has an empty boundary, which would pass for a cut of size 0.
     """
-    N = g.num_vertices
-    adj = g.adjacency_lists()
+    N = len(adj)
+    rows, ground, edges = _keyed_rows(adj, mode)
+    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground, "k": k,
+                       "deadline": None, "track_disconnectors": False})
+    # one added vertex shrinks a vertex boundary by at most 1 and an edge
+    # boundary by at most its degree
+    shrink = 1 if mode == "vertex" else max(map(len, adj))
     cap = N // 2
     stats.notes.append(f"connected induced subgraphs up to size {cap}")
 
     in_sub = bytearray(N)
     nbr_cnt = [0] * N
     sub: list[int] = []
-    state = {
-        "nodes": 0, "truncated": False, "lb": inf, "ub": inf, "witness": None,
-        "edges_in": 0, "boundary": 0, "below_k": 0,
-    }
+    nodes, truncated, lb, ub, witness = 0, False, inf, inf, None
+    # side vertices short of k inner neighbours, vertex and edge boundary
+    below_k = boundary = cut_edges = 0
 
     def add(v):
+        nonlocal below_k, boundary, cut_edges
         in_sub[v] = 1
         sub.append(v)
+        # nbr_cnt[v] of v's edges turn internal, the rest join the boundary
+        cut_edges += len(adj[v]) - 2 * nbr_cnt[v]
         if nbr_cnt[v] < k:
-            state["below_k"] += 1
+            below_k += 1
         if nbr_cnt[v] > 0:
-            state["boundary"] -= 1
+            boundary -= 1
         for w in adj[v]:
             if in_sub[w]:
-                state["edges_in"] += 1
                 if nbr_cnt[w] == k - 1:
-                    state["below_k"] -= 1
+                    below_k -= 1
             elif nbr_cnt[w] == 0:
-                state["boundary"] += 1
+                boundary += 1
             nbr_cnt[w] += 1
 
     def remove(v):
+        nonlocal below_k, boundary, cut_edges
         sub.pop()
         in_sub[v] = 0
         for w in adj[v]:
             nbr_cnt[w] -= 1
             if in_sub[w]:
-                state["edges_in"] -= 1
                 if nbr_cnt[w] == k - 1:
-                    state["below_k"] += 1
+                    below_k += 1
             elif nbr_cnt[w] == 0:
-                state["boundary"] -= 1
+                boundary -= 1
+        cut_edges -= len(adj[v]) - 2 * nbr_cnt[v]
         if nbr_cnt[v] < k:
-            state["below_k"] -= 1
+            below_k -= 1
         if nbr_cnt[v] > 0:
-            state["boundary"] += 1
-
-    def evaluate():
-        if state["below_k"] or len(sub) <= k:
-            return
-        if mode == "vertex":
-            b = state["boundary"]
-            if b == 0:
-                return
-            if b < state["lb"]:
-                state["lb"] = b
-            if b < state["ub"]:
-                hood = sorted(w for w in range(N) if not in_sub[w] and nbr_cnt[w])
-                if is_k_vertex_cut(g, hood, k).valid:
-                    state["ub"] = b
-                    state["witness"] = hood
-        else:
-            b = len(sub) * g.degree - 2 * state["edges_in"]
-            if b < state["lb"]:
-                state["lb"] = b
-            if b < state["ub"]:
-                boundary_edges = sorted(
-                    _canon_edge(u, w)
-                    for u in sub for w in adj[u] if not in_sub[w]
-                )
-                if is_k_edge_cut(g, boundary_edges, k).valid:
-                    state["ub"] = b
-                    state["witness"] = boundary_edges
+            boundary += 1
 
     def extend(ext, anchor):
-        state["nodes"] += 1
-        if max_nodes is not None and state["nodes"] > max_nodes:
-            state["truncated"] = True
+        nonlocal nodes, truncated, lb, ub, witness
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            truncated = True
             return
-        if deadline is not None and state["nodes"] % 4096 == 0 \
+        if deadline is not None and nodes % 4096 == 0 \
                 and time.monotonic() > deadline:
-            state["truncated"] = True
+            truncated = True
             return
-        evaluate()
+        b = boundary if mode == "vertex" else cut_edges
+        if not below_k and len(sub) > k and b:
+            if b < lb:
+                lb = b
+            if b < ub:
+                # the neighborhood, or the boundary's edge ids; ids follow
+                # sorted (u, w) order, so the edge witness comes out sorted
+                cut = sorted({key for u in sub for w, key in rows[u] if not in_sub[w]})
+                if _check_removal(ws, cut, k)[1]:
+                    ub = b
+                    witness = cut if mode == "vertex" else [edges[e] for e in cut]
         if len(sub) == cap:
             return
-        # one added vertex shrinks a vertex boundary by at most 1 and an
-        # edge boundary by at most the degree, so descendants of this state
-        # can never beat the incumbent once the bound below exceeds it;
-        # skipped descendants therefore cannot hold the class minimum either
-        if state["ub"] is not inf:
-            room = cap - len(sub)
-            if mode == "vertex":
-                reachable = state["boundary"] - room
-            else:
-                reachable = (len(sub) * g.degree - 2 * state["edges_in"]
-                             - room * g.degree)
-            if reachable > state["ub"]:
-                return
+        # descendants of this state can never beat the incumbent once the
+        # bound below exceeds it; skipped descendants therefore cannot hold
+        # the class minimum either
+        if b - (cap - len(sub)) * shrink > ub:
+            return
         for idx in range(len(ext)):
-            if state["truncated"]:
+            if truncated:
                 return
             w = ext[idx]
             fresh = [u for u in adj[w]
@@ -824,27 +815,26 @@ def _growth_search(g: StarGraph, k: int, mode: str, stats: SearchStats,
             remove(w)
 
     for v in range(N):
-        if state["truncated"]:
+        if truncated:
             break
         add(v)
         extend([u for u in adj[v] if u > v], v)
         remove(v)
 
-    stats.nodes = state["nodes"]
-    lb, ub = state["lb"], state["ub"]
+    stats.nodes = nodes
     stats.lower_bound = None if lb is inf else lb
     value = None if ub is inf else ub
-    if state["truncated"]:
-        return False, value, state["witness"]
+    if truncated:
+        return False, value, witness
     if mode == "vertex" and lb is not inf and ub != lb:
         stats.notes.append("bounds did not close: some minimal neighborhood "
                            "failed remainder degree validation")
-        return False, value, state["witness"]
+        return False, value, witness
     if value is None:
         stats.notes.append("no side with both induced minimum degrees >= k exists"
                            if mode == "edge" else
                            "no admissible side exists, so no cut exists")
-    return True, value, state["witness"]
+    return True, value, witness
 
 
 # ---------------------------------------------------------------------------
@@ -878,14 +868,19 @@ def _oracle(g: StarGraph, k: int, mode: str, budget: SearchBudget | None,
     deadline = t0 + budget.max_wall_time if budget.max_wall_time else None
     formula = cut_size_formula(g.n, k) if k <= g.n - 2 else None
     construction = _construction_witness(g, k, mode, formula)
+    adj = g.adjacency_lists()
     if budget.strategy == "component-growth":
         stats = SearchStats(strategy="component-growth", workers=1, seed=seed)
-        proved, value, witness = _growth_search(g, k, mode, stats, budget.max_nodes,
+        proved, value, witness = _growth_search(adj, k, mode, stats, budget.max_nodes,
                                                 deadline)
     else:
+        flow_bound = None
+        if g.n <= _FLOW_PREFILTER_MAX_N:
+            kappa, lam = classical_connectivity(g)
+            flow_bound = kappa if mode == "vertex" else lam
         stats = SearchStats(strategy="subset-enumeration", workers=workers, seed=seed)
-        proved, value, witness = _subset_search(g, k, mode, stats, budget.max_nodes,
-                                                deadline, workers, formula)
+        proved, value, witness = _subset_search(adj, k, mode, stats, budget.max_nodes,
+                                                deadline, workers, formula, flow_bound)
     stats.wall_time = time.monotonic() - t0
     stats.completed = proved
     if formula is not None and (value is None or value > formula):

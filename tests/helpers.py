@@ -93,49 +93,47 @@ def connected_induced_subgraphs(adjacency, max_size):
         yield from expand({v}, [u for u in adjacency[v] if u > v], v)
 
 
-def brute_min_k_cut(num_vertices, edges, k, mode):
-    """Minimum k-cut by enumerating every subset; only for tiny graphs.
+def brute_is_k_cut(num_vertices, edges, k, mode, removal):
+    """Whether removing `removal` (vertices, or (u, v) edges) leaves a
+    disconnected remainder whose every vertex keeps k neighbors.
 
-    Returns the minimum size, or None when no valid cut exists.  A vertex
-    remainder with fewer than two vertices counts as disconnected, matching
-    the library's complete-graph convention.
+    A vertex remainder with fewer than two vertices counts as disconnected,
+    matching the library's complete-graph convention; removing every vertex
+    is no cut at all.
     """
+    if mode == "vertex":
+        removed_v, removed_e = set(removal), set()
+        if len(removed_v) == num_vertices:
+            return False
+    else:
+        removed_v, removed_e = set(), {tuple(sorted(e)) for e in removal}
+    comps = components_by_union_find(num_vertices, edges, removed_v, removed_e)
+    if len(comps) < 2 and num_vertices - len(removed_v) >= 2:
+        return False
     adjacency = {v: set() for v in range(num_vertices)}
     for u, v in edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
+    return all(
+        sum(1 for w in adjacency[v]
+            if w not in removed_v and tuple(sorted((v, w))) not in removed_e) >= k
+        for v in range(num_vertices) if v not in removed_v
+    )
 
-    def degrees_ok(removed_v, removed_e):
-        for v in range(num_vertices):
-            if v in removed_v:
-                continue
-            deg = sum(
-                1
-                for w in adjacency[v]
-                if w not in removed_v and tuple(sorted((v, w))) not in removed_e
-            )
-            if deg < k:
-                return False
-        return True
 
+def brute_min_k_cut(num_vertices, edges, k, mode):
+    """Minimum k-cut by enumerating every subset; only for tiny graphs.
+
+    Returns the minimum size, or None when no valid cut exists; the rules
+    are those of `brute_is_k_cut`.
+    """
     if mode == "vertex":
         ground = list(range(num_vertices))
     else:
         ground = [tuple(sorted(e)) for e in edges]
     for size in range(1, len(ground) + (0 if mode == "vertex" else 1)):
         for combo in itertools.combinations(ground, size):
-            if mode == "vertex":
-                removed_v, removed_e = set(combo), set()
-                if len(removed_v) == num_vertices:
-                    continue
-            else:
-                removed_v, removed_e = set(), set(combo)
-            comps = components_by_union_find(
-                num_vertices, edges, removed_v, removed_e
-            )
-            survivors = num_vertices - len(removed_v)
-            disconnected = len(comps) >= 2 or survivors < 2
-            if disconnected and degrees_ok(removed_v, removed_e):
+            if brute_is_k_cut(num_vertices, edges, k, mode, combo):
                 return size
     return None
 

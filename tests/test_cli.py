@@ -241,6 +241,16 @@ def test_check_and_decompose_refuse_graphs_too_large_to_walk(capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_oracle_and_table_refuse_graphs_too_large_to_walk(capsys):
+    # judging the construction walks all n! vertices; n = 10 ran past 20 s
+    for argv in (["oracle", "10", "1", "--max-nodes", "10"],
+                 ["table", "--max-n", "10", "--max-nodes", "10"]):
+        t0 = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - t0 < 5
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     # argparse reports missing arguments through SystemExit(2)
     proc = subprocess.run(

@@ -6,6 +6,8 @@ import types
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starcut import oracle
 from starcut import (
@@ -25,6 +27,7 @@ from starcut import (
 )
 from helpers import (
     UnionFind,
+    brute_is_k_cut,
     brute_min_k_cut,
     connectivity_by_every_target,
 )
@@ -371,3 +374,141 @@ def test_every_result_keeps_the_honesty_contract(n, k, mode):
             assert res.formula is None and res.witness is None, where
         if res.kind == "exact" and res.formula is not None:
             assert res.value == res.formula, where
+
+
+# ---------------------------------------------------------------------------
+# both strategies on plain adjacency lists
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_graphs(draw, connected):
+    """Adjacency lists of up to 7 vertices and 11 edges, from up to 3 blocks.
+
+    Each block is a tree, a cycle, a complete graph or a random graph on up
+    to 4 vertices.  Every block after the first is bridged to an earlier
+    vertex by one edge, glued onto an earlier vertex (a cut vertex) or,
+    unless `connected`, left apart as another component.  A random block in
+    a connected graph is threaded on a path first.
+    """
+    adj: list[set] = []
+
+    def new_vertex():
+        adj.append(set())
+        return len(adj) - 1
+
+    def add_edge(u, v):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+
+    joins = ["bridge", "glue"] + ([] if connected else ["apart"])
+    for _ in range(draw(st.integers(1, 3))):
+        if len(adj) == 7:
+            break
+        join = draw(st.sampled_from(joins)) if adj else "apart"
+        anchor = draw(st.integers(0, len(adj) - 1)) if adj else None
+        glued = join == "glue"
+        fresh = draw(st.integers(1, min(4 - glued, 7 - len(adj))))
+        vs = ([anchor] if glued else []) + [new_vertex() for _ in range(fresh)]
+        size = len(vs)
+        if join == "bridge":
+            add_edge(anchor, vs[0])
+        shape = draw(st.sampled_from(["tree", "cycle", "complete", "random"]))
+        if shape == "tree":
+            for i in range(1, size):
+                add_edge(vs[draw(st.integers(0, i - 1))], vs[i])
+        elif shape == "cycle":
+            for i in range(size):
+                add_edge(vs[i], vs[(i + 1) % size])
+        else:
+            for i, a in enumerate(vs):
+                if connected and i:
+                    add_edge(vs[i - 1], a)
+                for b in vs[i + 1:]:
+                    if shape == "complete" or draw(st.booleans()):
+                        add_edge(a, b)
+    assume(sum(map(len, adj)) // 2 <= 11)
+    return [sorted(row) for row in adj]
+
+
+def _edge_list(adj):
+    return [(u, w) for u, row in enumerate(adj) for w in row if u < w]
+
+
+def _search(strategy, adj, k, mode):
+    stats = oracle.SearchStats(strategy=strategy, workers=1)
+    if strategy == "growth":
+        return oracle._growth_search(adj, k, mode, stats, None, None)
+    return oracle._subset_search(adj, k, mode, stats, None, None, 1, None, None)
+
+
+def _assert_matches_brute_force(strategy, adj, k, mode):
+    edges = _edge_list(adj)
+    brute = brute_min_k_cut(len(adj), edges, k, mode)
+    proved, value, witness = _search(strategy, adj, k, mode)
+    where = (strategy, adj, k, mode, proved, value, brute)
+    if strategy == "subset":
+        assert proved, where  # no budget and no formula: every size is decided
+    if proved:
+        assert value == brute, where
+    if value is None:
+        assert witness is None, where
+    else:
+        assert brute is not None and value >= brute, where
+        assert len(witness) == value, where
+        assert brute_is_k_cut(len(adj), edges, k, mode, witness), where
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(connected=False), st.integers(0, 2),
+       st.sampled_from(["vertex", "edge"]))
+def test_subset_enumeration_matches_brute_force(adj, k, mode):
+    _assert_matches_brute_force("subset", adj, k, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(connected=True), st.integers(0, 2),
+       st.sampled_from(["vertex", "edge"]))
+def test_component_growth_matches_brute_force(adj, k, mode):
+    # growth's lower bound needs a connected graph, so it gets only those
+    _assert_matches_brute_force("growth", adj, k, mode)
+
+
+def test_parity_rule_needs_a_connected_graph():
+    # every degree is even, but the graph is already split: one edge of
+    # either triangle is a 1-edge cut, and no size may be skipped for parity
+    two_triangles = [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]
+    edges = _edge_list(two_triangles)
+    assert brute_min_k_cut(6, edges, 1, "edge") == 1
+    proved, value, witness = _search("subset", two_triangles, 1, "edge")
+    assert (proved, value) == (True, 1)
+    assert brute_is_k_cut(6, edges, 1, "edge", witness)
+
+
+def _hypercube(n):
+    return [sorted(v ^ (1 << i) for i in range(n)) for v in range(2 ** n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_subset_enumeration_finds_the_hypercube_formula(n):
+    # kappa^k(Q_n) = 2^k (n - k) for k <= n - 2 (Oh and Choi 1993; Latifi,
+    # Hegde and Naraghi-Pour 1994); the edge analogue is asserted for k <= 1
+    adj = _hypercube(n)
+    edges = _edge_list(adj)
+    for mode in ("vertex", "edge"):
+        for k in range(n - 1) if mode == "vertex" else range(min(2, n - 1)):
+            proved, value, witness = _search("subset", adj, k, mode)
+            assert (proved, value) == (True, 2 ** k * (n - k)), (mode, k)
+            assert brute_is_k_cut(len(adj), edges, k, mode, witness), (mode, k)
+            if n <= 3 or mode == "vertex":
+                assert brute_min_k_cut(len(adj), edges, k, mode) == value, (mode, k)
+
+
+def test_component_growth_finds_the_q4_edge_formula():
+    # subset enumeration takes about a minute here without a flow bound
+    adj = _hypercube(4)
+    proved, value, witness = _search("growth", adj, 2, "edge")
+    assert (proved, value) == (True, 8)
+    edges = _edge_list(adj)
+    assert brute_is_k_cut(16, edges, 2, "edge", witness)
