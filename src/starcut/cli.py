@@ -22,10 +22,10 @@ from .core import (
     CapacityError,
     InputError,
     StarGraph,
+    _perms,
     format_perm,
     parse_perm,
     perm_rank,
-    perm_unrank,
 )
 from .cuts import (
     CutVerdict,
@@ -72,7 +72,7 @@ def _write(args, text: str):
 
 
 def _vlabel(n: int, v: int, compact: bool = False) -> str:
-    return format_perm(perm_unrank(v, n), compact)
+    return format_perm(_perms(n).row(v), compact)
 
 
 def _json(payload) -> str:
@@ -416,9 +416,9 @@ def _check_lines(g: StarGraph, seed: int, samples: int):
                 ok = False
                 break
             profile = symbol_profile(n, xs)
-            for v in xs:
-                if len(profile.W[perm_unrank(v, n)[0] + 1]) < k:
-                    spread_ok = False
+            # U[1] holds the first symbols of X
+            if any(len(profile.W[s]) < k for s in profile.U[1]):
+                spread_ok = False
         checks.append((f"witness-position k={k} (sampled)", ok and spread_ok,
                        f"kept {len(kept)} of {draws} draws"))
 

@@ -117,6 +117,106 @@ def perm_unrank(r: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def shrink_perm(p: tuple[int, ...], j: int, i: int) -> tuple[int, ...]:
+    """Drop position j (1-based) from p and close the symbol gap left by i.
+
+    p must carry symbol i (1-based) at position j.  Remaining symbols are
+    renamed order-preservingly onto 0..n-2, giving a permutation one shorter.
+    """
+    jj, ii = j - 1, i - 1
+    if p[jj] != ii:
+        raise InputError(
+            f"permutation does not carry symbol {i} at position {j}"
+        )
+    return tuple(s if s < ii else s - 1 for k, s in enumerate(p) if k != jj)
+
+
+class _PermTable:
+    """The permutations of n in rank order, n symbols each in one bytes.
+
+    `columns[j][v]` is the symbol at position j of the permutation of rank
+    v (a strided view, not a copy), so "which symbol sits where" over a
+    vertex set is one index per vertex.  S8 takes 322 KB and S9 3.3 MB.
+    Positions and symbols are 0-based here.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        # itertools yields lexicographic order, which is Lehmer rank order
+        self.flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(n))))
+        view = memoryview(self.flat)
+        self.columns = tuple(view[j::n] for j in range(n))
+
+    def row(self, v: int) -> tuple[int, ...]:
+        n = self.n
+        return tuple(self.flat[v * n : (v + 1) * n])
+
+    def symbols_by_position(self, vertices) -> list[set[int]]:
+        """The set of symbols at each position over `vertices`."""
+        return [set(map(col.__getitem__, vertices)) for col in self.columns]
+
+    def carrying(self, j: int, s: int) -> list[int]:
+        """Ascending ranks whose permutation has symbol s at position j."""
+        is_s = bytearray(256)
+        is_s[s] = 1
+        col = self.columns[j]
+        return list(itertools.compress(range(len(col)), bytes(col).translate(is_s)))
+
+    def shrunk_ranks(self, vertices, j: int, s: int) -> list[int | None]:
+        """perm_rank(shrink_perm(...)) of each vertex carrying s at j, else None.
+
+        Two members of the class first differ at a position other than j,
+        where the renaming keeps their order, so shrinking keeps rank order.
+        It maps the class's (n-1)! members one-to-one onto S_{n-1}, so the
+        t-th member in rank order shrinks to rank t.
+        """
+        order = {v: t for t, v in enumerate(self.carrying(j, s))}
+        return [order.get(v) for v in vertices]
+
+
+class _RankArithmetic:
+    """_PermTable's interface by rank arithmetic, for n too large to tabulate."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def row(self, v: int) -> tuple[int, ...]:
+        return perm_unrank(v, self.n)
+
+    def symbols_by_position(self, vertices) -> list[set[int]]:
+        out = [set() for _ in range(self.n)]
+        for v in vertices:  # one unrank per vertex
+            for syms, s in zip(out, perm_unrank(v, self.n)):
+                syms.add(s)
+        return out
+
+    def carrying(self, j: int, s: int) -> list[int]:
+        perms = itertools.permutations(range(self.n))
+        return [r for r, p in enumerate(perms) if p[j] == s]
+
+    def shrunk_ranks(self, vertices, j: int, s: int) -> list[int | None]:
+        out = []
+        for v in vertices:
+            p = perm_unrank(v, self.n)
+            out.append(perm_rank(shrink_perm(p, j + 1, s + 1)) if p[j] == s else None)
+        return out
+
+
+# Built once per n and shared by every graph and call, like the flow cache.
+_PERM_TABLES: dict[int, _PermTable | _RankArithmetic] = {}
+
+
+def _perms(n: int) -> _PermTable | _RankArithmetic:
+    """Permutations of n by rank: a table up to AUTO_MATERIALIZE_MAX_N and
+    rank arithmetic beyond.  The one place that chooses; callers validate
+    ranks before they ask."""
+    perms = _PERM_TABLES.get(n)
+    if perms is None:
+        tabulate = n <= AUTO_MATERIALIZE_MAX_N
+        perms = _PERM_TABLES[n] = _PermTable(n) if tabulate else _RankArithmetic(n)
+    return perms
+
+
 class StarGraph:
     """Immutable n-dimensional star graph addressed by Lehmer rank.
 
@@ -174,7 +274,7 @@ class StarGraph:
 
     def perm(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return perm_unrank(v, self.n)
+        return _perms(self.n).row(v)
 
     def label(self, v: int, compact: bool = False) -> str:
         return format_perm(self.perm(v), compact)
@@ -182,11 +282,15 @@ class StarGraph:
     def neighbors(self, v: int) -> list[int]:
         """Neighbor ranks of v, ordered by swap position ascending."""
         self._check_vertex(v)
+        return list(self._row(v))
+
+    def _row(self, v: int):
+        """neighbors(v) for a rank the caller has validated, with no range
+        check and no list built: an adjacency array slice when materialized."""
         if self._adj is not None:
             d = self.degree
-            return list(self._adj[v * d : (v + 1) * d])
-        p = perm_unrank(v, self.n)
-        return [perm_rank(q) for q in star_neighbors(p)]
+            return self._adj[v * d : (v + 1) * d]
+        return [perm_rank(q) for q in star_neighbors(_perms(self.n).row(v))]
 
     def adjacency_lists(self) -> list[tuple[int, ...]]:
         """All neighbor rows at once; handy for tight search loops."""
@@ -194,7 +298,7 @@ class StarGraph:
             d = self.degree
             a = self._adj
             return [tuple(a[v * d : (v + 1) * d]) for v in range(self.num_vertices)]
-        return [tuple(self.neighbors(v)) for v in range(self.num_vertices)]
+        return [tuple(self._row(v)) for v in range(self.num_vertices)]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Adjacency test via the swap rule, O(n)."""
@@ -202,8 +306,9 @@ class StarGraph:
         self._check_vertex(v)
         if u == v:
             return False
-        pu = perm_unrank(u, self.n)
-        pv = perm_unrank(v, self.n)
+        perms = _perms(self.n)
+        pu = perms.row(u)
+        pv = perms.row(v)
         diff = [i for i in range(self.n) if pu[i] != pv[i]]
         if len(diff) != 2 or diff[0] != 0:
             return False
@@ -213,7 +318,7 @@ class StarGraph:
     def edges(self):
         """All edges as (u, v) with u < v, sorted by (u, v)."""
         for u in range(self.num_vertices):
-            for v in sorted(self.neighbors(u)):
+            for v in sorted(self._row(u)):
                 if v > u:
                     yield (u, v)
 
@@ -250,15 +355,18 @@ def _edge_key_set(g: StarGraph, edges) -> set[tuple[int, int]]:
 def _iso_problem(g: StarGraph, small: StarGraph, part, mapping) -> str | None:
     """None if `mapping` (part -> ranks of small) is an isomorphism from
     g[part] onto small, else the first problem found.  A bijection that keeps
-    every induced edge and the edge count also keeps every non-edge."""
-    if (len(part) != small.num_vertices
-            or len(set(mapping.values())) != small.num_vertices):
+    every induced edge and the edge count also keeps every non-edge.  The
+    part holds valid ranks of g; the images are checked here."""
+    images = set(mapping.values())
+    size = small.num_vertices
+    if (len(part) != size or len(images) != size
+            or min(images) < 0 or max(images) >= size):
         return "relabeling is not a bijection onto the smaller star graph"
     members = set(part)
     inner = 0
     for u in part:
-        small_nbrs = set(small.neighbors(mapping[u]))
-        for w in g.neighbors(u):
+        small_nbrs = set(small._row(mapping[u]))
+        for w in g._row(u):
             if w in members:
                 if w > u:
                     inner += 1
@@ -289,7 +397,7 @@ def components(g: StarGraph, removed_vertices=(), removed_edges=()) -> list[list
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.neighbors(u):
+            for w in g._row(u):
                 if seen[w]:
                     continue
                 if removed_e and _canon_edge(u, w) in removed_e:
@@ -315,7 +423,7 @@ def min_degree(g: StarGraph, removed_vertices=(), removed_edges=()):
         if v in removed_v:
             continue
         deg = 0
-        for w in g.neighbors(v):
+        for w in g._row(v):
             if w in removed_v:
                 continue
             if removed_e and _canon_edge(v, w) in removed_e:
@@ -333,7 +441,7 @@ def neighborhood(g: StarGraph, X) -> list[int]:
     xs = _vertex_set(g, X)
     out = set()
     for u in xs:
-        out.update(g.neighbors(u))
+        out.update(g._row(u))
     out -= xs
     return sorted(out)
 
@@ -343,7 +451,7 @@ def edge_boundary(g: StarGraph, X) -> list[tuple[int, int]]:
     xs = _vertex_set(g, X)
     out = set()
     for u in xs:
-        for w in g.neighbors(u):
+        for w in g._row(u):
             if w not in xs:
                 out.add(_canon_edge(u, w))
     return sorted(out)
@@ -354,7 +462,7 @@ def induced_edges(g: StarGraph, X) -> list[tuple[int, int]]:
     xs = _vertex_set(g, X)
     out = []
     for u in xs:
-        for w in g.neighbors(u):
+        for w in g._row(u):
             if w > u and w in xs:
                 out.append((u, w))
     out.sort()
@@ -366,7 +474,7 @@ def induced_min_degree(g: StarGraph, X):
     xs = _vertex_set(g, X)
     best = inf
     for u in xs:
-        deg = sum(1 for w in g.neighbors(u) if w in xs)
+        deg = sum(1 for w in g._row(u) if w in xs)
         if deg < best:
             best = deg
             if best == 0:

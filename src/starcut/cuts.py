@@ -19,6 +19,7 @@ from .core import (
     StarGraph,
     _canon_edge,
     _iso_problem,
+    _perms,
     _vertex_set,
     components,
     edge_boundary,
@@ -26,7 +27,6 @@ from .core import (
     min_degree,
     neighborhood,
     perm_rank,
-    perm_unrank,
 )
 
 
@@ -204,27 +204,22 @@ def _verdict(g: StarGraph, mode: str, k: int, removed_vertices, removed_edges) -
 def symbol_profile(n: int, X) -> SymbolProfile:
     """Tabulate U (symbols per position) and W (positions >= 2 per symbol).
 
-    The incidence duality i in U[j] <=> j in W[i] makes the two sum
-    identities sum_{j>=2} |U_j| = sum_i |W_i| hold by construction; tests
+    Each U_j is read from one column of the permutation table.  W is
+    derived from U, so the incidence duality i in U[j] <=> j in W[i] and the
+    sum identity sum_{j>=2} |U_j| = sum_i |W_i| hold by construction; tests
     assert both on random sets anyway.
     """
-    xs = list(X)
+    if n < 1:
+        raise InputError("n must be >= 1")
+    xs = set(X)
     if not xs:
         raise InputError("symbol profile of an empty vertex set is undefined")
-    u: dict[int, set[int]] = {j: set() for j in range(1, n + 1)}
-    w: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for v in xs:
-        p = perm_unrank(v, n)
-        for pos, s in enumerate(p, start=1):
-            u[pos].add(s + 1)
-            if pos >= 2:
-                w[s + 1].add(pos)
-    return SymbolProfile(
-        n=n,
-        size=len(set(xs)),
-        U={j: frozenset(vals) for j, vals in u.items()},
-        W={i: frozenset(vals) for i, vals in w.items()},
-    )
+    if min(xs) < 0 or max(xs) >= factorial(n):
+        raise InputError(f"vertex rank out of range 0..{factorial(n) - 1} for n={n}")
+    at = _perms(n).symbols_by_position(xs)
+    u = {j: frozenset(s + 1 for s in syms) for j, syms in enumerate(at, start=1)}
+    w = {i: frozenset(j for j in range(2, n + 1) if i in u[j]) for i in range(1, n + 1)}
+    return SymbolProfile(n=n, size=len(xs), U=u, W=w)
 
 
 def witness_position(g: StarGraph, X, k: int) -> int:
@@ -283,7 +278,7 @@ def unique_neighbor_report(g: StarGraph, X) -> UniqueNeighborReport:
     for v in range(g.num_vertices):
         if v in xs:
             continue
-        cnt = sum(1 for w in g.neighbors(v) if w in xs)
+        cnt = sum(1 for w in g._row(v) if w in xs)
         if cnt:
             boundary_counts[v] = cnt
         if cnt > max_outside:
@@ -366,7 +361,7 @@ def sample_connected_subgraph(g: StarGraph, rng, size: int) -> list[int]:
     chosen = {start}
     boundary = []
     in_boundary = set()
-    for w in g.neighbors(start):
+    for w in g._row(start):
         boundary.append(w)
         in_boundary.add(w)
     while boundary and len(chosen) < size:
@@ -376,7 +371,7 @@ def sample_connected_subgraph(g: StarGraph, rng, size: int) -> list[int]:
         boundary.pop()
         in_boundary.discard(v)
         chosen.add(v)
-        for w in g.neighbors(v):
+        for w in g._row(v):
             if w not in chosen and w not in in_boundary:
                 boundary.append(w)
                 in_boundary.add(w)

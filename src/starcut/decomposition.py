@@ -18,7 +18,8 @@ from .core import (
     StarGraph,
     _canon_edge,
     _iso_problem,
-    perm_rank,
+    _perms,
+    shrink_perm,  # re-exported: part of this module's API
 )
 
 
@@ -45,10 +46,8 @@ def partition_by_dimension(g: StarGraph, j: int) -> DimensionPartition:
     """Split g by the symbol at position j; requires 2 <= j <= n."""
     if not 2 <= j <= g.n:
         raise InputError(f"position j must be in 2..{g.n}, got {j}")
-    parts: dict[int, list[int]] = {i: [] for i in range(1, g.n + 1)}
-    jj = j - 1
-    for v in range(g.num_vertices):
-        parts[g.perm(v)[jj] + 1].append(v)
+    perms = _perms(g.n)
+    parts = {s + 1: perms.carrying(j - 1, s) for s in range(g.n)}
     return DimensionPartition(n=g.n, j=j, parts=parts)
 
 
@@ -56,16 +55,9 @@ def partition_by_symbol(g: StarGraph, i: int) -> SymbolPartition:
     """Split g by the position of symbol i; requires 1 <= i <= n."""
     if not 1 <= i <= g.n:
         raise InputError(f"symbol i must be in 1..{g.n}, got {i}")
-    center: list[int] = []
-    parts: dict[int, list[int]] = {j: [] for j in range(2, g.n + 1)}
-    ii = i - 1
-    for v in range(g.num_vertices):
-        pos = g.perm(v).index(ii)
-        if pos == 0:
-            center.append(v)
-        else:
-            parts[pos + 1].append(v)
-    return SymbolPartition(n=g.n, i=i, center=center, parts=parts)
+    perms = _perms(g.n)
+    at = [perms.carrying(jj, i - 1) for jj in range(g.n)]
+    return SymbolPartition(n=g.n, i=i, center=at[0], parts=dict(enumerate(at[1:], start=2)))
 
 
 def cross_edges(g: StarGraph, dp: DimensionPartition, i1: int, i2: int) -> list[tuple[int, int]]:
@@ -82,24 +74,10 @@ def cross_edges(g: StarGraph, dp: DimensionPartition, i1: int, i2: int) -> list[
     other = set(dp.parts[i2])
     out = []
     for u in dp.parts[i1]:
-        for w in g.neighbors(u):
+        for w in g._row(u):
             if w in other:
                 out.append(_canon_edge(u, w))
     return sorted(set(out))
-
-
-def shrink_perm(p: tuple[int, ...], j: int, i: int) -> tuple[int, ...]:
-    """Drop position j (1-based) from p and close the symbol gap left by i.
-
-    p must carry symbol i (1-based) at position j.  Remaining symbols are
-    renamed order-preservingly onto 0..n-2, giving a permutation one shorter.
-    """
-    jj, ii = j - 1, i - 1
-    if p[jj] != ii:
-        raise InputError(
-            f"permutation does not carry symbol {i} at position {j}"
-        )
-    return tuple(s if s < ii else s - 1 for k, s in enumerate(p) if k != jj)
 
 
 def relabel_to_smaller_star(g: StarGraph, part, j: int, i: int) -> dict[int, int]:
@@ -107,7 +85,8 @@ def relabel_to_smaller_star(g: StarGraph, part, j: int, i: int) -> dict[int, int
 
     Deleting the fixed position and renaming the remaining symbols is a
     graph isomorphism onto the (n-1)-dimensional star graph; validators
-    check that claim edge by edge.
+    check that claim edge by edge.  The map is perm_rank(shrink_perm(...)),
+    which the permutation table answers without rank arithmetic.
     """
     if j == 1:
         raise InputError("position 1 cannot be deleted: that class induces no star graph")
@@ -115,7 +94,13 @@ def relabel_to_smaller_star(g: StarGraph, part, j: int, i: int) -> dict[int, int
         raise InputError(f"position j must be in 2..{g.n}, got {j}")
     if not 1 <= i <= g.n:
         raise InputError(f"symbol i must be in 1..{g.n}, got {i}")
-    return {v: perm_rank(shrink_perm(g.perm(v), j, i)) for v in part}
+    part = list(part)
+    for v in part:
+        g._check_vertex(v)
+    ranks = _perms(g.n).shrunk_ranks(part, j - 1, i - 1)
+    if None in ranks:
+        raise InputError(f"permutation does not carry symbol {i} at position {j}")
+    return dict(zip(part, ranks))
 
 
 @dataclass
@@ -176,17 +161,27 @@ def validate_dimension_partition(g: StarGraph, j: int) -> DimensionPartitionRepo
 
     expected_cross = factorial(n - 2) if n >= 2 else 0
     pair_edge_counts: dict[tuple[int, int], int] = {}
-    for i1 in range(1, n + 1):
-        for i2 in range(i1 + 1, n + 1):
-            es = cross_edges(g, dp, i1, i2)
-            pair_edge_counts[(i1, i2)] = len(es)
-            if len(es) != expected_cross:
-                problems.append(
-                    f"parts ({i1},{i2}) joined by {len(es)} edges, expected {expected_cross}"
-                )
-            ends = [v for e in es for v in e]
-            if len(set(ends)) != len(ends):
-                problems.append(f"edges between parts ({i1},{i2}) are not disjoint")
+    block = [0] * g.num_vertices
+    for i, vs in dp.parts.items():
+        for v in vs:
+            block[v] = i
+    # every pair's edges from one walk over the rows
+    crossing = {(i1, i2): [] for i1 in dp.parts for i2 in dp.parts if i1 < i2}
+    for u in range(g.num_vertices):
+        bu = block[u]
+        for w in g._row(u):
+            bw = block[w]
+            if w > u and bw != bu:
+                crossing[(bu, bw) if bu < bw else (bw, bu)].append((u, w))
+    for (i1, i2), es in crossing.items():
+        pair_edge_counts[(i1, i2)] = len(es)
+        if len(es) != expected_cross:
+            problems.append(
+                f"parts ({i1},{i2}) joined by {len(es)} edges, expected {expected_cross}"
+            )
+        ends = [v for e in es for v in e]
+        if len(set(ends)) != len(ends):
+            problems.append(f"edges between parts ({i1},{i2}) are not disjoint")
     return DimensionPartitionReport(
         n=n,
         j=j,
@@ -237,7 +232,7 @@ def validate_symbol_partition(g: StarGraph, i: int) -> SymbolPartitionReport:
     center_to_part: dict[int, list[tuple[int, int]]] = {j: [] for j in sp.parts}
     for u in range(g.num_vertices):
         bu = block[u]
-        for w in g.neighbors(u):
+        for w in g._row(u):
             if w < u:
                 continue
             bw = block[w]

@@ -8,7 +8,8 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
   graph classifies every extension at once.  Sizes below the classical
   connectivity are pruned wholesale, since such removals cannot disconnect.
   Odd edge sizes go by boundary parity if the graph is connected and every
-  degree is even.
+  degree is even.  A connected graph has no cut when k >= 1 and k is at
+  least its largest degree, which is settled before any size.
 * component growth enumerates connected induced subgraphs exactly once
   (anchor rule) and scores their neighborhoods or edge boundaries.  Its
   lower bound holds only on a connected graph.
@@ -593,9 +594,18 @@ def _subset_search(adj, k: int, mode: str, stats: SearchStats,
         max_size = ground - 1 if mode == "vertex" else ground
     payload = {"mode": mode, "rows": rows, "ground": ground, "k": k,
                "deadline": deadline, "track_disconnectors": False}
+    connected = _scan(_WorkerState(payload), ())[0] == 1
+    if connected and 1 <= k and k >= max(map(len, rows)):
+        # A survivor keeps degree >= k only by keeping every neighbour, so
+        # the survivors are a union of components: the whole connected
+        # graph, which is no cut.  A lone survivor would keep degree 0 < k.
+        stats.notes.append(
+            "no cut exists: k is at least every degree, so the survivors "
+            "would keep all their neighbours and be the whole connected graph"
+        )
+        return True, None, None
     # a minimal disconnecting edge set is a bond only in a connected graph
-    parity = (mode == "edge" and all(len(row) % 2 == 0 for row in rows)
-              and _scan(_WorkerState(payload), ())[0] == 1)
+    parity = mode == "edge" and connected and all(len(row) % 2 == 0 for row in rows)
     if parity:
         payload["track_disconnectors"] = True
         stats.notes.append(

@@ -174,6 +174,18 @@ def test_oracle_output_matches_golden(capsys, argv):
     assert (code, out) == (ORACLE_GOLDEN[argv]["rc"], ORACLE_GOLDEN[argv]["stdout"])
 
 
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_oracle_settles_k_at_the_degree_at_once(capsys, mode):
+    # k = n - 1 is the degree of S4: no cut exists, and subset enumeration
+    # says so without walking the 2^36 edge sets
+    t0 = time.monotonic()
+    code, out = run_cli(capsys, "oracle", "4", "3", "--mode", mode,
+                        "--strategy", "subset-enumeration", "--threads", "2")
+    assert time.monotonic() - t0 < 5
+    data = json.loads(out)
+    assert code == 0 and data["kind"] == "no-cut-exists" and data["stats"]["nodes"] == 0
+
+
 def test_oracle_exact_exit_zero(capsys):
     code, out = run_cli(capsys, "oracle", "3", "1", "--mode", "edge", "--threads", "1")
     data = json.loads(out)
@@ -211,6 +223,15 @@ def test_check_small(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS overall n=3" in out
+
+
+def test_check_9_finishes_within_150_seconds(capsys):
+    # n = 9 is the largest graph check accepts, so its whole walk must end
+    # too: about 60 s on a 2-core host, where it used to take 170 s
+    t0 = time.monotonic()
+    code, out = run_cli(capsys, "check", "9", "--samples", "0")
+    assert time.monotonic() - t0 < 150
+    assert code == 0 and out.splitlines()[-1] == "PASS overall n=9"
 
 
 def test_check_json(capsys):

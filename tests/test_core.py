@@ -14,12 +14,14 @@ from starcut import (
     edge_boundary,
     format_perm,
     induced_edges,
+    induced_min_degree,
     min_degree,
     neighborhood,
     parse_perm,
     perm_rank,
     perm_unrank,
     star_neighbors,
+    unique_neighbor_report,
 )
 from helpers import components_by_union_find, neighbors_by_composition, rank_of, ranks_of
 
@@ -110,6 +112,43 @@ def test_implicit_and_materialized_agree():
     gi = StarGraph(5, mode="implicit")
     for v in range(gm.num_vertices):
         assert gm.neighbors(v) == gi.neighbors(v)
+
+
+@pytest.mark.parametrize("mode", ["materialized", "implicit"])
+def test_perm_table_matches_rank_arithmetic(mode):
+    for n in range(1, 8):
+        g = StarGraph(n, mode=mode)
+        for v in range(g.num_vertices):
+            assert g.perm(v) == perm_unrank(v, n), (n, v)
+    with pytest.raises(InputError):
+        StarGraph(4).perm(24)
+
+
+def test_perm_above_the_table_uses_rank_arithmetic():
+    g = StarGraph(10)
+    for v in (0, 1, 362_880, factorial(10) - 1):
+        assert g.perm(v) == perm_unrank(v, 10)
+    with pytest.raises(InputError):
+        g.perm(factorial(10))
+
+
+def test_primitives_agree_between_materialized_and_implicit():
+    import random
+
+    gm = StarGraph(5, mode="materialized")
+    gi = StarGraph(5, mode="implicit")
+    rng = random.Random(7)
+    all_edges = list(gm.edges())
+    for _ in range(25):
+        xs = rng.sample(range(120), rng.randrange(1, 60))
+        es = rng.sample(all_edges, rng.randrange(0, 40))
+        assert components(gm, xs, es) == components(gi, xs, es)
+        assert min_degree(gm, xs, es) == min_degree(gi, xs, es)
+        assert induced_min_degree(gm, xs) == induced_min_degree(gi, xs)
+        assert neighborhood(gm, xs) == neighborhood(gi, xs)
+        assert edge_boundary(gm, xs) == edge_boundary(gi, xs)
+        assert induced_edges(gm, xs) == induced_edges(gi, xs)
+        assert unique_neighbor_report(gm, xs) == unique_neighbor_report(gi, xs)
 
 
 def test_neighbor_relation_symmetric_and_regular():

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,56 @@ def test_profile_duality_and_sum_identity(n, data):
     profile = symbol_profile(n, xs)
     assert profile.duality_ok()
     assert profile.position_sum() == profile.symbol_sum()
+
+
+def _profile_by_unranking(n, xs):
+    """U and W built one unranked permutation at a time."""
+    U = {j: set() for j in range(1, n + 1)}
+    W = {i: set() for i in range(1, n + 1)}
+    for v in xs:
+        for pos, s in enumerate(perm_unrank(v, n), start=1):
+            U[pos].add(s + 1)
+            if pos >= 2:
+                W[s + 1].add(pos)
+    return U, W
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=7), data=st.data())
+def test_symbol_profile_matches_unranking(n, data):
+    size = data.draw(st.integers(min_value=1, max_value=min(40, factorial(n))))
+    xs = data.draw(st.lists(st.integers(0, factorial(n) - 1), min_size=1, max_size=size))
+    profile = symbol_profile(n, xs)
+    U, W = _profile_by_unranking(n, xs)
+    assert profile.U == U and profile.W == W
+    assert profile.size == len(set(xs))
+
+
+def test_symbol_profile_above_the_table_matches_unranking():
+    xs = [0, 1, 12_345, 3_000_000, factorial(10) - 1]
+    profile = symbol_profile(10, xs)
+    assert (profile.U, profile.W) == _profile_by_unranking(10, xs)
+
+
+def test_symbol_profile_above_the_table_unranks_each_vertex_once(monkeypatch):
+    from starcut import core
+
+    calls = []
+
+    def counted(r, n):
+        calls.append(r)
+        return perm_unrank(r, n)
+
+    monkeypatch.setattr(core, "perm_unrank", counted)
+    xs = [5, 77, 40_000, 1_000_000]
+    assert (symbol_profile(10, xs).U, symbol_profile(10, xs).W) == _profile_by_unranking(10, xs)
+    assert sorted(calls) == sorted(xs * 2)
+
+
+def test_symbol_profile_rejects_out_of_range_ranks():
+    for xs in ([24], [-1], [0, 3, 24]):
+        with pytest.raises(InputError):
+            symbol_profile(4, xs)
 
 
 @settings(max_examples=20, deadline=None)

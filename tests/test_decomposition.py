@@ -12,6 +12,8 @@ from starcut import (
     partition_by_dimension,
     partition_by_symbol,
     parse_perm,
+    perm_rank,
+    perm_unrank,
     relabel_to_smaller_star,
     shrink_perm,
     validate_dimension_partition,
@@ -61,6 +63,16 @@ def test_cross_edges_examples(s4, s5):
     assert len(matching) == 6
     ends = [v for e in matching for v in e]
     assert len(set(ends)) == len(ends)
+
+
+def test_cross_edges_of_a_partial_partition(s5):
+    dp = partition_by_dimension(s5, 5)
+    full = cross_edges(s5, dp, 1, 2)
+    dp.parts[1] = dp.parts[1][1:]  # one vertex left uncovered
+    dp.parts[3] = []
+    kept = set(dp.parts[1])
+    assert cross_edges(s5, dp, 1, 2) == [e for e in full if kept & set(e)]
+    assert cross_edges(s5, dp, 1, 3) == []
 
 
 def test_cross_edges_rejects_equal_parts(s4):
@@ -135,6 +147,42 @@ def test_relabel_preserves_non_adjacency_exhaustively():
             for w in part:
                 if u < w:
                     assert (w in part_adj[u]) == (mapping[w] in small_adj[mapping[u]])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_relabel_matches_rank_of_the_shrunk_permutation(n):
+    g = StarGraph(n)
+    for j in range(2, n + 1):
+        for i, part in partition_by_dimension(g, j).parts.items():
+            mapping = relabel_to_smaller_star(g, part, j, i)
+            assert list(mapping) == part
+            for v, r in mapping.items():
+                assert r == perm_rank(shrink_perm(perm_unrank(v, n), j, i)), (j, i, v)
+            sample = part[::7]
+            assert relabel_to_smaller_star(g, sample, j, i) == {v: mapping[v] for v in sample}
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_relabel_above_the_table_ranks_only_the_members(n):
+    g = StarGraph(n)
+    j, i = 3, 5
+    part = [v for v in (0, 7, 5_000, 123_456, 3_000_001, factorial(n) - 1)
+            if perm_unrank(v, n)[j - 1] == i - 1]
+    part.append(perm_rank(tuple([0, 1, 4] + [s for s in range(n) if s not in (0, 1, 4)])))
+    mapping = relabel_to_smaller_star(g, part, j, i)
+    assert mapping == {v: perm_rank(shrink_perm(perm_unrank(v, n), j, i)) for v in part}
+    with pytest.raises(InputError):
+        relabel_to_smaller_star(g, part + [0], j, i)  # rank 0 carries symbol 3 at position 3
+    with pytest.raises(InputError):
+        relabel_to_smaller_star(g, part + [factorial(n)], j, i)
+
+
+def test_relabel_rejects_a_foreign_member(s5):
+    part = partition_by_dimension(s5, 3).parts[2]
+    foreign = partition_by_dimension(s5, 3).parts[4][0]
+    for bad in (foreign, 120, -1):
+        with pytest.raises(InputError):
+            relabel_to_smaller_star(s5, part + [bad], 3, 2)
 
 
 def test_validate_dimension_partition_small():

@@ -254,12 +254,15 @@ def test_failing_task_tears_the_pool_down(s4, monkeypatch):
     assert not multiprocessing.active_children()
 
 
-def test_deadline_checked_inside_parity_loop(s3, monkeypatch):
-    # S3 has even degree, so odd edge-removal sizes are decided from the
-    # supersets of the minimal disconnecting sets; k = 2 has no cut and no
-    # formula, so the search would otherwise run to every size.  The fake
-    # clock expires as the size-3 supersets are listed, so the first
-    # deadline check inside their loop must stop it.
+def test_deadline_checked_inside_parity_loop(monkeypatch):
+    # The bowtie (two triangles sharing vertex 2) has even degrees, so odd
+    # edge-removal sizes are decided from the supersets of the minimal
+    # disconnecting sets.  Every edge has an end of degree 2, so k = 2 has
+    # no cut, yet k is below the largest degree (4): without a deadline the
+    # search would run to every size.  The fake clock expires as the size-3
+    # supersets are listed, so the first deadline check inside their loop
+    # must stop it.
+    bowtie = [[1, 2], [0, 2], [0, 1, 3, 4], [2, 4], [2, 3]]
     now = [0.0]
     monkeypatch.setattr(oracle, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
     supersets = oracle._parity_superset_candidates
@@ -267,16 +270,19 @@ def test_deadline_checked_inside_parity_loop(s3, monkeypatch):
     def expire_at_size_3(minimals, s, ground):
         if s == 3:
             now[0] = 1e9
+            assert minimals  # the loop below has candidates to check
         return supersets(minimals, s, ground)
 
     monkeypatch.setattr(oracle, "_parity_superset_candidates", expire_at_size_3)
-    res = exact_lambda_super(s3, 2, budget=SearchBudget(max_wall_time=60))
-    assert res.kind == "upper-bound-only"
-    assert not res.stats.completed
-    # size 2 was decided in full (C(6, 2) = 15), no size-3 superset was
-    assert res.stats.nodes == 15 and res.stats.candidates_checked == 15
-    assert res.stats.sizes_examined == [2, 3]
-    assert res.value is None and res.witness is None
+    stats = oracle.SearchStats(strategy="subset-enumeration", workers=1)
+    proved, value, witness = oracle._subset_search(bowtie, 2, "edge", stats, None,
+                                                   60.0, 1, None, None)
+    assert not proved and value is None and witness is None
+    # sizes 1 (no minimal sets yet) and 2 (C(6, 2) = 15) were decided in
+    # full, no size-3 superset was
+    assert stats.nodes == 15 and stats.candidates_checked == 6
+    assert stats.sizes_examined == [1, 2, 3]
+    assert stats.notes[-1] == "budget exhausted before the search class was decided"
 
 
 def test_wall_time_truncation(s5):
@@ -461,9 +467,11 @@ def _assert_matches_brute_force(strategy, adj, k, mode):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_graphs(connected=False), st.integers(0, 2),
+@given(small_graphs(connected=False), st.integers(0, 3),
        st.sampled_from(["vertex", "edge"]))
 def test_subset_enumeration_matches_brute_force(adj, k, mode):
+    # k = 3 reaches the largest degree of many of these graphs, where a
+    # connected graph has no cut and the search stops before any size
     _assert_matches_brute_force("subset", adj, k, mode)
 
 
@@ -473,6 +481,21 @@ def test_subset_enumeration_matches_brute_force(adj, k, mode):
 def test_component_growth_matches_brute_force(adj, k, mode):
     # growth's lower bound needs a connected graph, so it gets only those
     _assert_matches_brute_force("growth", adj, k, mode)
+
+
+def test_no_cut_once_k_reaches_the_largest_degree():
+    path = [[1], [0, 2], [1]]
+    for mode in ("vertex", "edge"):
+        stats = oracle.SearchStats(strategy="subset", workers=1)
+        assert oracle._subset_search(path, 2, mode, stats, None, None, 1, None,
+                                     None) == (True, None, None)
+        assert stats.nodes == 0 and stats.sizes_examined == []
+    # on a disconnected graph a whole component may go: removing one of
+    # three triangles leaves two, each vertex keeping degree 2
+    triangles = [[3 * (v // 3) + (v + d) % 3 for d in (1, 2)] for v in range(9)]
+    assert brute_min_k_cut(9, _edge_list(triangles), 2, "vertex") == 3
+    proved, value, witness = _search("subset", triangles, 2, "vertex")
+    assert (proved, value) == (True, 3)
 
 
 def test_parity_rule_needs_a_connected_graph():
