@@ -2,12 +2,15 @@
 
 Everything here deliberately avoids the library's code paths: neighbors via
 permutation composition, components via union-find, minimum cuts via plain
-subset enumeration with its own connectivity check.  The one exception is
+subset enumeration with its own connectivity check.  The exceptions are
 `connectivity_by_every_target`, which reuses the library's flow kernel and
-differs from `classical_connectivity` only in the targets it sends flow to.
+differs from `classical_connectivity` only in the targets it sends flow to,
+and `min_degree_by_full_walk`, which reads the graph's neighbour rows.
 """
 
 import itertools
+from array import array
+from math import inf
 
 from starcut import parse_perm, perm_rank
 from starcut.oracle import _edge_network, _max_flow_unit, _vertex_split_network
@@ -30,6 +33,37 @@ def neighbors_by_composition(p):
         tau[0], tau[i] = tau[i], tau[0]
         out.append(tuple(p[tau[m]] for m in range(n)))
     return out
+
+
+def adjacency_by_permutation_loop(n):
+    """The flat int32 adjacency of S_n, one swapped tuple and one dict
+    lookup per edge: the per-permutation build the bulk build replaced."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: r for r, p in enumerate(perms)}
+    adj = array("i")
+    for p in perms:
+        first = p[0]
+        for i in range(1, n):
+            q = list(p)
+            q[0] = p[i]
+            q[i] = first
+            adj.append(index[tuple(q)])
+    return adj
+
+
+def min_degree_by_full_walk(g, removed_vertices=(), removed_edges=()):
+    """Minimum surviving degree by counting kept neighbours of every
+    survivor; inf when none survive.  Non-edge pairs cost nothing."""
+    removed_v = set(removed_vertices)
+    removed_e = {tuple(sorted(e)) for e in removed_edges}
+    best = inf
+    for v in range(g.num_vertices):
+        if v in removed_v:
+            continue
+        deg = sum(1 for w in g.neighbors(v)
+                  if w not in removed_v and tuple(sorted((v, w))) not in removed_e)
+        best = min(best, deg)
+    return best
 
 
 class UnionFind:

@@ -23,7 +23,14 @@ from starcut import (
     star_neighbors,
     unique_neighbor_report,
 )
-from helpers import components_by_union_find, neighbors_by_composition, rank_of, ranks_of
+from helpers import (
+    adjacency_by_permutation_loop,
+    components_by_union_find,
+    min_degree_by_full_walk,
+    neighbors_by_composition,
+    rank_of,
+    ranks_of,
+)
 
 
 def test_star_neighbors_examples():
@@ -91,8 +98,11 @@ def test_graph_counts_and_modes():
     assert (g4.num_vertices, g4.num_edges, g4.degree) == (24, 36, 3)
     assert StarGraph(9).mode == "materialized"
     assert StarGraph(10).mode == "implicit"
-    with pytest.raises(CapacityError):
-        StarGraph(13, mode="materialized")
+    # the adjacency is built from the permutation table, which stops at 9
+    for n in (10, 12, 13):
+        with pytest.raises(CapacityError, match="permutation table"):
+            StarGraph(n, mode="materialized")
+    assert StarGraph(12, mode="implicit").mode == "implicit"
     with pytest.raises(CapacityError):
         StarGraph(21)
     with pytest.raises(InputError):
@@ -105,6 +115,21 @@ def test_s3_is_a_six_cycle(s3):
     assert s3.num_vertices == 6
     assert all(len(s3.neighbors(v)) == 2 for v in range(6))
     assert len(components(s3)) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bulk_build_matches_the_permutation_loop(n):
+    assert StarGraph(n)._adj == adjacency_by_permutation_loop(n)
+
+
+def test_bulk_build_of_s9_matches_rank_arithmetic():
+    import random
+
+    g = StarGraph(9)
+    assert len(g._adj) == factorial(9) * 8
+    ranks = random.Random(9).sample(range(factorial(9)), 300) + [0, factorial(9) - 1]
+    for v in ranks:
+        assert g.neighbors(v) == [perm_rank(q) for q in star_neighbors(perm_unrank(v, 9))]
 
 
 def test_implicit_and_materialized_agree():
@@ -149,6 +174,50 @@ def test_primitives_agree_between_materialized_and_implicit():
         assert edge_boundary(gm, xs) == edge_boundary(gi, xs)
         assert induced_edges(gm, xs) == induced_edges(gi, xs)
         assert unique_neighbor_report(gm, xs) == unique_neighbor_report(gi, xs)
+
+
+@pytest.mark.parametrize("mode", ["materialized", "implicit"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_min_degree_matches_the_full_walk(n, mode):
+    import random
+
+    g = StarGraph(n, mode=mode)
+    total = g.num_vertices
+    all_edges = list(g.edges())
+    rng = random.Random(n)
+
+    def agree(xs, es):
+        assert min_degree(g, xs, es) == min_degree_by_full_walk(g, xs, es), (xs, es)
+
+    for _ in range(40):
+        xs = rng.sample(range(total), rng.randrange(0, total // 4))
+        es = rng.sample(all_edges, rng.randrange(0, 3 * n))
+        # edges that touch removed vertices, both orientations, duplicates
+        es += [(w, u) for u in xs[:3] for w in g.neighbors(u)[:2]]
+        es += [(v, u) for u, v in es[:4]] + es[:2]
+        # pairs that are no edge of g
+        es += [(u, w) for u, w in zip(rng.sample(range(total), 5), rng.sample(range(total), 5))
+               if not g.has_edge(u, w)]
+        agree(xs, es)
+    # vertex 0 loses every edge, then every neighbour
+    agree([], [(0, w) for w in g.neighbors(0)])
+    agree(g.neighbors(0), [])
+    everything = list(range(total))
+    for survivor in (0, total - 1):
+        agree(everything[:survivor] + everything[survivor + 1:], [])
+    assert min_degree(g, everything) == inf == min_degree_by_full_walk(g, everything)
+    assert min_degree(g, everything, all_edges[:3]) == inf
+
+
+def test_min_degree_is_local_to_the_removal():
+    # the full walk visits all 10! vertices of the implicit graph
+    import time
+
+    g = StarGraph(10)
+    t0 = time.monotonic()
+    assert min_degree(g, [0]) == 8
+    assert min_degree(g, [], [(0, g.neighbors(0)[0])]) == 8
+    assert time.monotonic() - t0 < 1
 
 
 def test_neighbor_relation_symmetric_and_regular():
