@@ -346,10 +346,13 @@ def _canon_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def _vertex_set(g: StarGraph, vertices) -> set[int]:
-    out = set()
-    for v in vertices:
-        g._check_vertex(v)
-        out.add(v)
+    """The members of `vertices` as a set, range-checked by min and max."""
+    if iter(vertices) is vertices:  # a one-shot iterator: keep its members
+        vertices = list(vertices)
+    out = set(vertices)
+    if out and (min(out) < 0 or max(out) >= g.num_vertices):
+        for v in vertices:  # name the first bad rank in input order
+            g._check_vertex(v)
     return out
 
 
@@ -433,7 +436,7 @@ def min_degree(g: StarGraph, removed_vertices=(), removed_edges=()):
     removed_e = _edge_key_set(g, removed_edges)
     if len(removed_v) == g.num_vertices:
         return inf
-    lost = Counter(w for u in removed_v for w in g._row(u) if w not in removed_v)
+    lost = _degree_lost(g, removed_v)
     for u, w in removed_e:
         if u not in removed_v and w not in removed_v and w in g._row(u):
             lost[u] += 1
@@ -474,12 +477,27 @@ def induced_edges(g: StarGraph, X) -> list[tuple[int, int]]:
     return out
 
 
+def _degree_lost(g: StarGraph, removed_v: set[int]) -> Counter:
+    """How many neighbours each survivor has in removed_v."""
+    row = g._row
+    return Counter(w for u in removed_v for w in row(u) if w not in removed_v)
+
+
 def induced_min_degree(g: StarGraph, X):
-    """Minimum degree of the subgraph induced by X; inf for empty X."""
+    """Minimum degree of the subgraph induced by X; inf for empty X.
+
+    Walks the rows of the smaller side: X's own rows, or, when X holds
+    more than half the graph, the rows of its complement, whose
+    neighbours in X are the only members to lose degree.
+    """
     xs = _vertex_set(g, X)
+    if 2 * len(xs) > g.num_vertices:
+        rest = set(itertools.filterfalse(xs.__contains__, range(g.num_vertices)))
+        return g.degree - max(_degree_lost(g, rest).values(), default=0)
+    row = g._row
     best = inf
     for u in xs:
-        deg = sum(1 for w in g._row(u) if w in xs)
+        deg = len(xs.intersection(row(u)))
         if deg < best:
             best = deg
             if best == 0:

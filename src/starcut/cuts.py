@@ -83,6 +83,11 @@ class SymbolProfile:
     def symbol_sum(self) -> int:
         return sum(len(self.W[i]) for i in range(1, self.n + 1))
 
+    def witness(self, k: int) -> int | None:
+        """Smallest position j >= 2 whose symbol set has at least k+1
+        members, or None when there is none."""
+        return next((j for j in range(2, self.n + 1) if len(self.U[j]) > k), None)
+
     def duality_ok(self) -> bool:
         """i in U[j] <=> j in W[i] for every position j >= 2."""
         for j in range(2, self.n + 1):
@@ -239,13 +244,12 @@ def witness_position(g: StarGraph, X, k: int) -> int:
         raise InputError(
             f"induced minimum degree {delta} is below k={k}; precondition violated"
         )
-    profile = symbol_profile(g.n, xs)
-    for j in range(2, g.n + 1):
-        if len(profile.U[j]) >= k + 1:
-            return j
-    raise InvariantViolationError(
-        f"no position with {k + 1} symbols over a set of induced minimum degree {delta}"
-    )
+    j = symbol_profile(g.n, xs).witness(k)
+    if j is None:
+        raise InvariantViolationError(
+            f"no position with {k + 1} symbols over a set of induced minimum degree {delta}"
+        )
+    return j
 
 
 @dataclass
@@ -354,28 +358,26 @@ def sample_connected_subgraph(g: StarGraph, rng, size: int) -> list[int]:
     Repeatedly absorbs a uniformly chosen boundary vertex until the target
     size is reached (or the whole graph is absorbed).  Used to sample the
     universally quantified properties; the distribution does not matter.
+    One set holds the chosen and the boundary vertices alike, since a
+    neighbour joins the boundary only when it is in neither.
     """
     if size < 1:
         raise InputError("sample size must be >= 1")
-    start = rng.randrange(g.num_vertices)
-    chosen = {start}
-    boundary = []
-    in_boundary = set()
-    for w in g._row(start):
-        boundary.append(w)
-        in_boundary.add(w)
-    while boundary and len(chosen) < size:
-        idx = rng.randrange(len(boundary))
+    randrange, row = rng.randrange, g._row
+    start = randrange(g.num_vertices)
+    boundary = list(row(start))
+    seen = {start, *boundary}
+    chosen = 1
+    while boundary and chosen < size:
+        idx = randrange(len(boundary))
         v = boundary[idx]
         boundary[idx] = boundary[-1]
         boundary.pop()
-        in_boundary.discard(v)
-        chosen.add(v)
-        for w in g._row(v):
-            if w not in chosen and w not in in_boundary:
-                boundary.append(w)
-                in_boundary.add(w)
-    return sorted(chosen)
+        chosen += 1
+        fresh = [w for w in row(v) if w not in seen]
+        seen.update(fresh)
+        boundary += fresh
+    return sorted(seen.difference(boundary))
 
 
 def sample_min_degree_subgraphs(g: StarGraph, k: int, draws: int, rng):
@@ -385,8 +387,13 @@ def sample_min_degree_subgraphs(g: StarGraph, k: int, draws: int, rng):
     passes often even for larger k; the rest spread over all sizes.
     Returns (kept samples, number of draws made).
     """
-    out = []
     N = g.num_vertices
+    if not 0 <= k < N:
+        raise InputError(f"k must be in 0..{N - 1} for a sample of k+1 of the "
+                         f"{N} vertices, got k={k}")
+    if draws < 0:
+        raise InputError(f"draws must be >= 0, got {draws}")
+    out = []
     for _ in range(draws):
         if rng.random() < 0.5:
             size = max(k + 1, N - rng.randrange(0, 4 * g.n + 1))

@@ -5,7 +5,8 @@ permutation composition, components via union-find, minimum cuts via plain
 subset enumeration with its own connectivity check.  The exceptions are
 `connectivity_by_every_target`, which reuses the library's flow kernel and
 differs from `classical_connectivity` only in the targets it sends flow to,
-and `min_degree_by_full_walk`, which reads the graph's neighbour rows.
+and the `*_by_full_walk`, `*_by_member_checks` and `*_reference` functions,
+which read the graph's neighbour rows or its range check.
 """
 
 import itertools
@@ -64,6 +65,54 @@ def min_degree_by_full_walk(g, removed_vertices=(), removed_edges=()):
                   if w not in removed_v and tuple(sorted((v, w))) not in removed_e)
         best = min(best, deg)
     return best
+
+
+def vertex_set_by_member_checks(g, vertices):
+    """The vertex set with one range check per member, in input order: the
+    body the min/max check replaced, kept to pin its error messages."""
+    out = set()
+    for v in vertices:
+        g._check_vertex(v)
+        out.add(v)
+    return out
+
+
+def induced_min_degree_by_full_walk(g, X):
+    """Minimum degree of the subgraph induced by X, counting the kept
+    neighbours of every member; inf for empty X."""
+    xs = vertex_set_by_member_checks(g, X)
+    best = inf
+    for u in xs:
+        deg = sum(1 for w in g.neighbors(u) if w in xs)
+        if deg < best:
+            best = deg
+            if best == 0:
+                break
+    return best
+
+
+def sample_connected_subgraph_reference(g, rng, size):
+    """The connected sampler with separate chosen and boundary sets, as it
+    was before it kept one set for both; same RNG calls, same result."""
+    start = rng.randrange(g.num_vertices)
+    chosen = {start}
+    boundary = []
+    in_boundary = set()
+    for w in g.neighbors(start):
+        boundary.append(w)
+        in_boundary.add(w)
+    while boundary and len(chosen) < size:
+        idx = rng.randrange(len(boundary))
+        v = boundary[idx]
+        boundary[idx] = boundary[-1]
+        boundary.pop()
+        in_boundary.discard(v)
+        chosen.add(v)
+        for w in g.neighbors(v):
+            if w not in chosen and w not in in_boundary:
+                boundary.append(w)
+                in_boundary.add(w)
+    return sorted(chosen)
 
 
 class UnionFind:

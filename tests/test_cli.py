@@ -13,6 +13,10 @@ from starcut.cli import main
 ORACLE_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "oracle.json").read_text()
 )
+# the same for `starcut check`: pins the sampled suite's RNG stream
+CHECK_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "check.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +176,12 @@ def test_verify_cut_refuses_graphs_too_large_to_judge(tmp_path, capsys):
 def test_oracle_output_matches_golden(capsys, argv):
     code, out = run_cli(capsys, *argv.split())
     assert (code, out) == (ORACLE_GOLDEN[argv]["rc"], ORACLE_GOLDEN[argv]["stdout"])
+
+
+@pytest.mark.parametrize("argv", sorted(CHECK_GOLDEN))
+def test_check_output_matches_golden(capsys, argv):
+    code, out = run_cli(capsys, *argv.split())
+    assert (code, out) == (CHECK_GOLDEN[argv]["rc"], CHECK_GOLDEN[argv]["stdout"])
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])

@@ -23,13 +23,16 @@ from starcut import (
     star_neighbors,
     unique_neighbor_report,
 )
+from starcut.core import _vertex_set
 from helpers import (
     adjacency_by_permutation_loop,
     components_by_union_find,
+    induced_min_degree_by_full_walk,
     min_degree_by_full_walk,
     neighbors_by_composition,
     rank_of,
     ranks_of,
+    vertex_set_by_member_checks,
 )
 
 
@@ -218,6 +221,73 @@ def test_min_degree_is_local_to_the_removal():
     assert min_degree(g, [0]) == 8
     assert min_degree(g, [], [(0, g.neighbors(0)[0])]) == 8
     assert time.monotonic() - t0 < 1
+
+
+_GRAPHS = {(n, mode): StarGraph(n, mode=mode)
+           for n in (5, 6) for mode in ("materialized", "implicit")}
+
+
+@pytest.mark.parametrize("mode", ["materialized", "implicit"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_induced_min_degree_matches_the_full_walk(n, mode):
+    import random
+
+    g = _GRAPHS[n, mode]
+    total = g.num_vertices
+    rng = random.Random(n)
+
+    def agree(xs):
+        assert induced_min_degree(g, xs) == induced_min_degree_by_full_walk(g, xs)
+
+    # either side of the half-way switch, the ends, and the empty set
+    for size in (total // 2 - 1, total // 2, total // 2 + 1, total - 1, total, 1, 0):
+        for _ in range(3):
+            xs = rng.sample(range(total), size)
+            agree(xs)
+            agree(xs + xs[: size // 3])  # duplicates
+            assert induced_min_degree(g, iter(xs)) == induced_min_degree(g, xs)
+    # a substar, its complement, and the complement of one vertex's closed
+    # neighbourhood, where the vertices two steps from it keep degree n-2
+    star = [v for v in range(total) if g.perm(v)[-1] == 0]
+    agree(star)
+    agree(sorted(set(range(total)) - set(star)))
+    agree(sorted(set(range(total)) - {0, *g.neighbors(0)}))
+    assert induced_min_degree(g, []) == inf
+    assert induced_min_degree(g, range(total)) == g.degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([5, 6]), mode=st.sampled_from(["materialized", "implicit"]),
+       data=st.data())
+def test_induced_min_degree_on_drawn_sets(n, mode, data):
+    g = _GRAPHS[n, mode]
+    total = g.num_vertices
+    picked = data.draw(st.lists(st.integers(0, total - 1), max_size=60))
+    if data.draw(st.booleans()):  # the large side: all but the picked ranks
+        dropped = set(picked)
+        picked = [v for v in range(total) if v not in dropped]
+    expected = induced_min_degree_by_full_walk(g, picked)
+    assert induced_min_degree(g, picked) == expected
+    assert induced_min_degree(g, (v for v in picked)) == expected
+
+
+def test_vertex_set_errors_match_one_check_per_member():
+    g = _GRAPHS[5, "materialized"]
+    total = g.num_vertices
+    inputs = [[-1], [total], [3, -2, 7], [0, total, 5], [total, -1], [-1, total],
+              {total + 4, -3, 2}, [total - 1, total], range(-2, 3)]
+    for vertices in inputs:
+        with pytest.raises(InputError) as expected:
+            vertex_set_by_member_checks(g, vertices)
+        with pytest.raises(InputError) as got:
+            _vertex_set(g, vertices)
+        assert str(got.value) == str(expected.value), vertices
+        with pytest.raises(InputError) as got:
+            _vertex_set(g, (v for v in vertices))
+        assert str(got.value) == str(expected.value), vertices
+    assert str(expected.value).startswith("vertex rank ")
+    for vertices in ([], [0, 0, total - 1], range(total)):
+        assert _vertex_set(g, iter(vertices)) == vertex_set_by_member_checks(g, vertices)
 
 
 def test_neighbor_relation_symmetric_and_regular():

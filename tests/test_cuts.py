@@ -23,7 +23,7 @@ from starcut import (
     witness_position,
 )
 from starcut.core import _iso_problem, induced_min_degree, perm_unrank
-from helpers import rank_of, ranks_of
+from helpers import rank_of, ranks_of, sample_connected_subgraph_reference
 
 
 def test_construction_n4_k1(s4):
@@ -214,6 +214,36 @@ def test_sampler_yields_connected_sets(s5):
         assert len(comps) == 1
 
 
+@pytest.mark.parametrize("mode", ["materialized", "implicit"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_sampler_matches_the_reference(n, mode):
+    g = StarGraph(n, mode=mode)
+    total = g.num_vertices
+    sizes = random.Random(n)
+    for seed in range(50):
+        # small, middling and near-total targets, as check draws them
+        size = sizes.choice([sizes.randrange(1, 10), sizes.randrange(1, total + 1),
+                             total - sizes.randrange(0, 4 * n + 1), total + 5])
+        ours, ref = random.Random(seed), random.Random(seed)
+        got = sample_connected_subgraph(g, ours, size)
+        assert got == sample_connected_subgraph_reference(g, ref, size), (seed, size)
+        assert ours.getstate() == ref.getstate(), (seed, size)
+        assert type(got) is list and len(got) == min(size, total)
+
+
+def test_min_degree_sampler_input_checks(s4):
+    rng = random.Random(0)
+    for k in (-1, 24, 30):
+        with pytest.raises(InputError, match=f"got k={k}$"):
+            sample_min_degree_subgraphs(s4, k, 5, rng)
+    with pytest.raises(InputError, match="draws must be >= 0, got -1"):
+        sample_min_degree_subgraphs(s4, 1, -1, rng)
+    assert sample_min_degree_subgraphs(s4, 1, 0, rng) == ([], 0)
+    # k = N-1 asks for the whole graph, which S4 does not have (degree 3)
+    assert sample_min_degree_subgraphs(s4, 23, 2, rng) == ([], 2)
+    assert sample_min_degree_subgraphs(StarGraph(2), 1, 3, rng) == ([[0, 1]] * 3, 3)
+
+
 def test_sampled_witness_and_first_symbol_spread(s5):
     rng = random.Random(11)
     kept, draws = sample_min_degree_subgraphs(s5, 2, 150, rng)
@@ -300,3 +330,22 @@ def test_witness_position_never_fails_on_valid_subgraphs(k, data, s4):
     for xs in kept:
         assert induced_min_degree(s4, xs) >= k
         assert 2 <= witness_position(s4, xs, k) <= 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([4, 5]), k=st.integers(min_value=0, max_value=3),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_witness_rule_has_one_body(n, k, seed):
+    # check reads the rule from the sample's profile; witness_position
+    # re-validates and recomputes the profile, and must agree
+    g = StarGraph(n)
+    kept, _ = sample_min_degree_subgraphs(g, k, 15, random.Random(seed))
+    for xs in kept:
+        assert symbol_profile(n, xs).witness(k) == witness_position(g, xs, k)
+
+
+def test_profile_witness_is_none_without_a_wide_position():
+    single = symbol_profile(4, [rank_of("1234")])
+    assert single.witness(0) == 2
+    assert single.witness(1) is None
+    assert symbol_profile(4, range(24)).witness(3) == 2
