@@ -319,10 +319,10 @@ def _plan_level(ground: int, s: int, node_budget: int | None) -> _LevelPlan:
     return _LevelPlan(s, groups, bases, False)
 
 
-def _make_tasks(plan: _LevelPlan, workers: int) -> list[tuple[int, int, int, int, int]]:
-    """Slice the base sequence into (s, L, inner_start, count, x_end) spans."""
+def _make_tasks(plan: _LevelPlan, workers: int, ks) -> list[tuple]:
+    """Slice the base sequence into (s, L, inner_start, count, x_end, ks) spans."""
     chunk = min(max(512, plan.bases_total // max(1, workers * 6)), 65536)
-    return [(plan.size, L, first + off, min(chunk, cnt - off), x_end)
+    return [(plan.size, L, first + off, min(chunk, cnt - off), x_end, ks)
             for L, first, cnt, x_end in plan.groups
             for off in range(0, cnt, chunk)]
 
@@ -337,7 +337,6 @@ class _WorkerState:
 
     def __init__(self, payload):
         self.vertex = payload["mode"] == "vertex"
-        self.k = payload["k"]
         self.deadline = payload["deadline"]
         self.track_disconnectors = payload["track_disconnectors"]
         self.rows = payload["rows"]
@@ -441,8 +440,11 @@ def _scan(ws: _WorkerState, base):
     return ncomp, critical
 
 
-def _check_removal(ws: _WorkerState, removal, k):
-    """(disconnected, valid) for a removal, same rules as is_k_vertex_cut and
+def _check_removal(ws: _WorkerState, removal):
+    """(disconnected, smallest surviving degree) for a removal.
+
+    The removal is a valid k-cut exactly when it disconnects and the degree
+    is at least k; the rules are those of is_k_vertex_cut and
     is_k_edge_cut: in vertex mode fewer than two survivors count as
     disconnected, and removing every vertex is no cut at all."""
     gen = _stamp(ws, removal)
@@ -450,7 +452,7 @@ def _check_removal(ws: _WorkerState, removal, k):
     vertex = ws.vertex
     survivors = ws.N - len(removal) if vertex else ws.N
     if survivors == 0:
-        return False, False
+        return False, 0
     ncomp = 0
     mind = ws.N
     stack: list[int] = []
@@ -472,21 +474,32 @@ def _check_removal(ws: _WorkerState, removal, k):
                     stack.append(w)
             if deg < mind:
                 mind = deg
-    disconnected = ncomp >= 2 or (vertex and survivors < 2)
-    return disconnected, disconnected and mind >= k
+    return ncomp >= 2 or (vertex and survivors < 2), mind
+
+
+def _settle(ks, bests, reach, removal, mind):
+    """Record a disconnecting removal for every k it is the first valid one for.
+
+    Removals come in ascending order, so the first valid one is the
+    smallest.  It is valid for every k <= mind, so the ks settled so far
+    are always a prefix of the ascending `ks`; returns its new length."""
+    while reach < len(ks) and ks[reach] <= mind:
+        bests[reach] = removal
+        reach += 1
+    return reach
 
 
 def _run_task(task):
     """Decide every subset covered by a span of bases; see _plan_level.
 
-    Returns (nodes, checked, smallest valid removal or None, disconnecting
-    removals, expired)."""
+    Returns (nodes, checked, smallest valid removal or None for each of the
+    ascending `ks`, disconnecting removals, expired)."""
     ws = _WS
-    s, L, start, count, x_end = task
-    k = ws.k
+    s, L, start, count, x_end, ks = task
     vertex = ws.vertex
     deadline = ws.deadline
-    best = None
+    bests = [None] * len(ks)
+    reach = 0
     disc_sets: list[tuple] = []
     nodes = 0
     checked = 0
@@ -512,14 +525,14 @@ def _run_task(task):
             cands = sorted(c for c in critical if L < c < x_end)
         for x in cands:
             removal = base + (x,)
-            disconnected, valid = _check_removal(ws, removal, k)
+            disconnected, mind = _check_removal(ws, removal)
             checked += 1
-            if disconnected and ws.track_disconnectors:
-                disc_sets.append(removal)
-            if valid and (best is None or removal < best):
-                best = removal
+            if disconnected:
+                if ws.track_disconnectors:
+                    disc_sets.append(removal)
+                reach = _settle(ks, bests, reach, removal, mind)
         nodes += x_end - 1 - L
-    return nodes, checked, best, disc_sets, expired
+    return nodes, checked, bests, disc_sets, expired
 
 
 def _parity_superset_candidates(minimals, s, ground):
@@ -578,66 +591,107 @@ def _construction_witness(g: StarGraph, k: int, mode: str, formula):
     return witness
 
 
-def _subset_search(adj, k: int, mode: str, stats: SearchStats,
+def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                    max_nodes: int | None, deadline: float | None, workers: int,
-                   formula: int | None, flow_bound: int | None):
-    """Walk removal sets in ascending size, from the max-flow connectivity
-    `flow_bound` (or 1) to below the formula; see _oracle.
+                   formulas: list, flow_bound: int | None):
+    """Walk removal sets in ascending size for every k of the ascending
+    `ks` at once, from the max-flow connectivity `flow_bound` (or 1) to
+    below each k's formula; see _oracle.  `stats` and `formulas` run
+    parallel to `ks`, and so does the returned list of outcomes.
 
-    The first size holding a valid removal is the minimum, since every
-    smaller size was decided in full."""
+    The scans, and the candidates they yield, do not depend on k: a
+    disconnecting removal is valid for k exactly when its smallest
+    surviving degree is at least k.  Each k leaves the walk where a walk
+    for it alone would stop: after the first size holding a valid removal
+    (the minimum, since every smaller size was decided in full), past its
+    formula - 1, or when the budget runs out.  The ks still walking have
+    seen the same sizes, so they share one node count and one budget, and
+    each k's stats are those of a walk for it alone."""
     rows, ground, edges = _keyed_rows(adj, mode)
-    if formula is not None:
-        max_size = formula - 1
-    else:
-        # a vertex removal must leave at least one survivor
-        max_size = ground - 1 if mode == "vertex" else ground
-    payload = {"mode": mode, "rows": rows, "ground": ground, "k": k,
+    payload = {"mode": mode, "rows": rows, "ground": ground,
                "deadline": deadline, "track_disconnectors": False}
     connected = _scan(_WorkerState(payload), ())[0] == 1
-    if connected and 1 <= k and k >= max(map(len, rows)):
-        # A survivor keeps degree >= k only by keeping every neighbour, so
-        # the survivors are a union of components: the whole connected
-        # graph, which is no cut.  A lone survivor would keep degree 0 < k.
-        stats.notes.append(
-            "no cut exists: k is at least every degree, so the survivors "
-            "would keep all their neighbours and be the whole connected graph"
-        )
-        return True, None, None
     # a minimal disconnecting edge set is a bond only in a connected graph
     parity = mode == "edge" and connected and all(len(row) % 2 == 0 for row in rows)
-    if parity:
-        payload["track_disconnectors"] = True
-        stats.notes.append(
-            "odd sizes decided by boundary parity: every degree is even, so "
-            "minimal disconnecting edge sets have even size"
-        )
+    payload["track_disconnectors"] = parity
+    conn_lb = 1 if flow_bound is None else flow_bound
 
-    conn_lb = 1
-    if flow_bound is not None:
-        conn_lb = stats.lower_bound = flow_bound
-        stats.notes.append(
-            f"sizes below {conn_lb} pruned: smaller removals cannot disconnect "
-            "(classical connectivity computed by max flow)"
-        )
-    stats.pruned_sizes.extend(range(1, min(conn_lb, max_size + 1)))
+    outcomes: list = [None] * len(ks)
+    walking: list[tuple[int, int]] = []  # (index into ks, largest size)
+    for i, (k, st, formula) in enumerate(zip(ks, stats, formulas)):
+        if connected and 1 <= k and k >= max(map(len, rows)):
+            # A survivor keeps degree >= k only by keeping every neighbour, so
+            # the survivors are a union of components: the whole connected
+            # graph, which is no cut.  A lone survivor would keep degree 0 < k.
+            st.notes.append(
+                "no cut exists: k is at least every degree, so the survivors "
+                "would keep all their neighbours and be the whole connected graph"
+            )
+            outcomes[i] = (True, None, None)
+            continue
+        if parity:
+            st.notes.append(
+                "odd sizes decided by boundary parity: every degree is even, so "
+                "minimal disconnecting edge sets have even size"
+            )
+        if flow_bound is not None:
+            st.lower_bound = flow_bound
+            st.notes.append(
+                f"sizes below {conn_lb} pruned: smaller removals cannot disconnect "
+                "(classical connectivity computed by max flow)"
+            )
+        if formula is not None:
+            max_size = formula - 1
+        else:
+            # a vertex removal must leave at least one survivor
+            max_size = ground - 1 if mode == "vertex" else ground
+        st.pruned_sizes.extend(range(1, min(conn_lb, max_size + 1)))
+        walking.append((i, max_size))
 
     minimals: list[tuple] = []
-    best = None
-    truncated = False
     nodes = 0
     checked = 0
+
+    def leave(i, truncated, best=None):
+        """Report k = ks[i] as its own walk would, at the counts so far."""
+        st, formula = stats[i], formulas[i]
+        st.nodes = nodes
+        st.candidates_checked = checked
+        if best is not None:
+            if formula is not None and len(best) < formula:
+                st.notes.append("found a cut below the constructive bound")
+            witness = [edges[e] for e in best] if mode == "edge" else list(best)
+            outcomes[i] = (True, len(best), witness)
+        elif truncated:
+            st.notes.append("budget exhausted before the search class was decided")
+            outcomes[i] = (False, None, None)
+        else:
+            st.notes.append(
+                f"all removal sets of size < {formula} decided invalid; the "
+                "constructed cut attains the bound" if formula is not None else
+                "every proper removal set was decided; no valid cut exists"
+            )
+            outcomes[i] = (True, None, None)
+
     pool = None
     try:
-        for s in range(conn_lb, max_size + 1):
-            remaining = max_nodes - nodes if max_nodes is not None else None
-            if remaining is not None and remaining <= 0:
-                truncated = True
+        for s in itertools.count(conn_lb):
+            for i, max_size in walking:
+                if max_size < s:
+                    leave(i, False)
+            walking = [w for w in walking if w[1] >= s]
+            if not walking:
                 break
-            if deadline is not None and time.monotonic() > deadline:
-                truncated = True
+            remaining = max_nodes - nodes if max_nodes is not None else None
+            if (remaining is not None and remaining <= 0) or \
+                    (deadline is not None and time.monotonic() > deadline):
+                for i, _ in walking:
+                    leave(i, True)
                 break
 
+            wks = [ks[i] for i, _ in walking]
+            best: list = [None] * len(wks)
+            truncated = False
             cands = None
             if parity and s % 2 == 1:
                 cands = _parity_superset_candidates(minimals, s, ground)
@@ -646,21 +700,22 @@ def _subset_search(adj, k: int, mode: str, stats: SearchStats,
                     cands = cands[:remaining]
                     truncated = True
                 _init_worker(payload)
-                for i, cand in enumerate(cands):
-                    if deadline is not None and (i & 255) == 0 \
+                reach = 0
+                for j, cand in enumerate(cands):
+                    if deadline is not None and (j & 255) == 0 \
                             and time.monotonic() > deadline:
                         truncated = True
                         break
-                    _, valid = _check_removal(_WS, cand, k)
+                    disconnected, mind = _check_removal(_WS, cand)
                     checked += 1
                     nodes += 1
-                    if valid and (best is None or cand < best):
-                        best = cand
+                    if disconnected:
+                        reach = _settle(wks, best, reach, cand, mind)
             else:
                 plan = _plan_level(ground, s, remaining)
                 if plan.truncated:
                     truncated = True
-                tasks = _make_tasks(plan, workers)
+                tasks = _make_tasks(plan, workers, wks)
                 if workers > 1 and len(tasks) > 1:
                     if pool is None:
                         import multiprocessing
@@ -675,19 +730,22 @@ def _subset_search(adj, k: int, mode: str, stats: SearchStats,
                     _init_worker(payload)
                     results = map(_run_task, tasks)
                 disc: list[tuple] = []
-                for t_nodes, t_checked, t_best, t_disc, t_expired in results:
+                for t_nodes, t_checked, t_bests, t_disc, t_expired in results:
                     nodes += t_nodes
                     checked += t_checked
-                    if t_best is not None and (best is None or t_best < best):
-                        best = t_best
+                    for j, t_best in enumerate(t_bests):
+                        if t_best is not None and (best[j] is None or t_best < best[j]):
+                            best[j] = t_best
                     disc.extend(t_disc)
                     truncated = truncated or t_expired
                 if parity and not truncated:
                     _update_minimals(minimals, disc)
 
-            stats.sizes_examined.append(s)
-            if best is not None or truncated:
-                break
+            for (i, _), b in zip(walking, best):
+                stats[i].sizes_examined.append(s)
+                if b is not None or truncated:
+                    leave(i, truncated, b)
+            walking = [w for w in walking if outcomes[w[0]] is None]
     except BaseException:
         # an error or interrupt must not wait for the queued tasks
         if pool is not None:
@@ -698,24 +756,7 @@ def _subset_search(adj, k: int, mode: str, stats: SearchStats,
             pool.close()
             pool.join()
 
-    stats.nodes = nodes
-    stats.candidates_checked = checked
-
-    if best is not None:
-        if formula is not None and len(best) < formula:
-            stats.notes.append("found a cut below the constructive bound")
-        witness = [edges[e] for e in best] if mode == "edge" else list(best)
-        return True, len(best), witness
-    if truncated:
-        stats.notes.append("budget exhausted before the search class was decided")
-    elif formula is not None:
-        stats.notes.append(
-            f"all removal sets of size < {formula} decided invalid; the "
-            "constructed cut attains the bound"
-        )
-    else:
-        stats.notes.append("every proper removal set was decided; no valid cut exists")
-    return not truncated, None, None
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +777,7 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
     """
     N = len(adj)
     rows, ground, edges = _keyed_rows(adj, mode)
-    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground, "k": k,
+    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground,
                        "deadline": None, "track_disconnectors": False})
     # one added vertex shrinks a vertex boundary by at most 1 and an edge
     # boundary by at most its degree
@@ -804,7 +845,8 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
                 # the neighborhood, or the boundary's edge ids; ids follow
                 # sorted (u, w) order, so the edge witness comes out sorted
                 cut = sorted({key for u in sub for w, key in rows[u] if not in_sub[w]})
-                if _check_removal(ws, cut, k)[1]:
+                disconnected, mind = _check_removal(ws, cut)
+                if disconnected and mind >= k:
                     ub = b
                     witness = cut if mode == "vertex" else [edges[e] for e in cut]
         if len(sub) == cap:
@@ -852,9 +894,10 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
 # ---------------------------------------------------------------------------
 
 
-def _oracle(g: StarGraph, k: int, mode: str, budget: SearchBudget | None,
-            workers: int, seed) -> OracleResult:
-    """Run one strategy and label what it proved; the one labelling rule.
+def _oracle(g: StarGraph, ks, mode: str, budget: SearchBudget | None,
+            workers: int, seed) -> list[OracleResult]:
+    """Run one strategy for each k of the ascending, distinct `ks` and label
+    what it proved; the one labelling rule.
 
     A strategy returns (proved, value, witness): value is the smallest
     valid cut it found, or None, and proved means its search class rules
@@ -866,82 +909,98 @@ def _oracle(g: StarGraph, k: int, mode: str, budget: SearchBudget | None,
     and an upper bound otherwise.  A growth search never proves "no cut"
     while a formula exists, which would read as exact here: the substar X
     is itself an admissible side whose boundary equals the formula.
+
+    Subset enumeration decides every k in one walk; growth, whose state
+    depends on k, runs once per k.  All ks share one wall-time window.
     """
     if g.n < 2:
         raise InputError("cut searches need n >= 2")
-    if k < 0:
+    if any(k < 0 for k in ks):
         raise InputError("k must be >= 0")
     if workers < 1:
         raise InputError("workers must be >= 1")
     budget = budget or SearchBudget()
     t0 = time.monotonic()
     deadline = t0 + budget.max_wall_time if budget.max_wall_time else None
-    formula = cut_size_formula(g.n, k) if k <= g.n - 2 else None
-    construction = _construction_witness(g, k, mode, formula)
+    formulas = [cut_size_formula(g.n, k) if k <= g.n - 2 else None for k in ks]
+    constructions = [_construction_witness(g, k, mode, formula)
+                     for k, formula in zip(ks, formulas)]
     adj = g.adjacency_lists()
     if budget.strategy == "component-growth":
-        stats = SearchStats(strategy="component-growth", workers=1, seed=seed)
-        proved, value, witness = _growth_search(adj, k, mode, stats, budget.max_nodes,
-                                                deadline)
+        stats = [SearchStats(strategy="component-growth", workers=1, seed=seed)
+                 for _ in ks]
+        outcomes = [_growth_search(adj, k, mode, st, budget.max_nodes, deadline)
+                    for k, st in zip(ks, stats)]
     else:
         flow_bound = None
         if g.n <= _FLOW_PREFILTER_MAX_N:
             kappa, lam = classical_connectivity(g)
             flow_bound = kappa if mode == "vertex" else lam
-        stats = SearchStats(strategy="subset-enumeration", workers=workers, seed=seed)
-        proved, value, witness = _subset_search(adj, k, mode, stats, budget.max_nodes,
-                                                deadline, workers, formula, flow_bound)
-    stats.wall_time = time.monotonic() - t0
-    stats.completed = proved
-    if formula is not None and (value is None or value > formula):
-        value, witness = formula, construction
-    if not proved:
-        kind = "upper-bound-only"
-    else:
-        kind = "exact" if value is not None else "no-cut-exists"
-    return OracleResult(mode=mode, n=g.n, k=k, kind=kind, value=value,
-                        witness=witness, formula=formula, stats=stats)
+        stats = [SearchStats(strategy="subset-enumeration", workers=workers, seed=seed)
+                 for _ in ks]
+        outcomes = _subset_search(adj, ks, mode, stats, budget.max_nodes, deadline,
+                                  workers, formulas, flow_bound)
+    wall_time = time.monotonic() - t0
+    results = []
+    for k, formula, construction, st, (proved, value, witness) in zip(
+            ks, formulas, constructions, stats, outcomes):
+        st.wall_time = wall_time
+        st.completed = proved
+        if formula is not None and (value is None or value > formula):
+            value, witness = formula, construction
+        if not proved:
+            kind = "upper-bound-only"
+        else:
+            kind = "exact" if value is not None else "no-cut-exists"
+        results.append(OracleResult(mode=mode, n=g.n, k=k, kind=kind, value=value,
+                                    witness=witness, formula=formula, stats=st))
+    return results
 
 
 def exact_kappa_super(g: StarGraph, k: int, budget: SearchBudget | None = None,
                       workers: int = 1, seed: int | None = None) -> OracleResult:
     """Minimum k-vertex-cut size of g, exact whenever the class is exhausted."""
-    return _oracle(g, k, "vertex", budget, workers, seed)
+    return _oracle(g, [k], "vertex", budget, workers, seed)[0]
 
 
 def exact_lambda_super(g: StarGraph, k: int, budget: SearchBudget | None = None,
                        workers: int = 1, seed: int | None = None) -> OracleResult:
     """Minimum k-edge-cut size of g, exact whenever the class is exhausted."""
-    return _oracle(g, k, "edge", budget, workers, seed)
+    return _oracle(g, [k], "edge", budget, workers, seed)[0]
 
 
 def compare_formula(n_values, k_values=None, budget: SearchBudget | None = None,
                     workers: int = 1, seed: int | None = None) -> list[FormulaRow]:
     """One row per (n, k): formula, construction validity, oracle verdict.
 
-    The vertex-cut search runs only for n <= 5; beyond that the validated
-    construction is reported as an upper bound, which is all that is
-    tractable at desk scale.
+    The vertex-cut search runs only for n <= 5, as one subset walk per n
+    that decides all of its rows; each row's verdict is the one a search
+    for that k alone would give.  A `max_wall_time` budget is one window
+    shared by the rows of an n.  Beyond n = 5 the validated construction
+    is reported as an upper bound, which is all that is tractable at desk
+    scale.
     """
     budget = budget or SearchBudget(max_nodes=DEFAULT_TABLE_MAX_NODES)
+    wanted = None if k_values is None else set(k_values)
     rows: list[FormulaRow] = []
     for n in n_values:
         if n < 2:
             raise InputError("table rows need n >= 2")
         g = StarGraph(n)
-        for k in range(0, n - 1):
-            if k_values is not None and k not in k_values:
-                continue
+        ks = [k for k in range(0, n - 1) if wanted is None or k in wanted]
+        searched = {}
+        if n <= _TABLE_SEARCH_MAX_N and ks:
+            searched = {res.k: res for res in _oracle(g, ks, "vertex", budget,
+                                                      workers, seed)}
+        for k in ks:
             formula = cut_size_formula(n, k)
             cut = substar_isolating_cut(n, k, graph=g)
             construction_ok = (
                 is_k_vertex_cut(g, cut.t, k).valid
                 and is_k_edge_cut(g, cut.f, k).valid
             )
-            if n <= _TABLE_SEARCH_MAX_N:
-                res = exact_kappa_super(g, k, budget=budget, workers=workers,
-                                        seed=seed)
-                kind, value = res.kind, res.value
+            if k in searched:
+                kind, value = searched[k].kind, searched[k].value
             else:
                 kind = "upper-bound-only"
                 value = formula if construction_ok else None

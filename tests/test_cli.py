@@ -17,6 +17,11 @@ ORACLE_GOLDEN = json.loads(
 CHECK_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "check.json").read_text()
 )
+# the same for `starcut table`: one search walk per n decides all its rows,
+# at full, truncated and construction-only budgets and on 1 and 2 workers
+TABLE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "table.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +187,12 @@ def test_oracle_output_matches_golden(capsys, argv):
 def test_check_output_matches_golden(capsys, argv):
     code, out = run_cli(capsys, *argv.split())
     assert (code, out) == (CHECK_GOLDEN[argv]["rc"], CHECK_GOLDEN[argv]["stdout"])
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_GOLDEN))
+def test_table_output_matches_golden(capsys, argv):
+    code, out = run_cli(capsys, *argv.split())
+    assert (code, out) == (TABLE_GOLDEN[argv]["rc"], TABLE_GOLDEN[argv]["stdout"])
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])

@@ -275,8 +275,8 @@ def test_deadline_checked_inside_parity_loop(monkeypatch):
 
     monkeypatch.setattr(oracle, "_parity_superset_candidates", expire_at_size_3)
     stats = oracle.SearchStats(strategy="subset-enumeration", workers=1)
-    proved, value, witness = oracle._subset_search(bowtie, 2, "edge", stats, None,
-                                                   60.0, 1, None, None)
+    (proved, value, witness), = oracle._subset_search(bowtie, [2], "edge", [stats],
+                                                      None, 60.0, 1, [None], None)
     assert not proved and value is None and witness is None
     # sizes 1 (no minimal sets yet) and 2 (C(6, 2) = 15) were decided in
     # full, no size-3 superset was
@@ -337,6 +337,41 @@ def test_compare_formula_large_cells_are_bounds():
     assert row.oracle_kind == "upper-bound-only"
     assert row.oracle_value == row.formula == cut_size_formula(6, 4)
     assert row.agree
+
+
+@pytest.mark.parametrize("make", [list, iter, lambda ks: (k for k in ks)],
+                         ids=["list", "iterator", "generator"])
+def test_compare_formula_reads_k_values_once(make):
+    # a one-shot iterator must serve every n, not just the first
+    rows = compare_formula(range(2, 5), k_values=make([0, 1]))
+    assert [(r.n, r.k) for r in rows] == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]
+    assert all(r.oracle_kind == "exact" and r.agree for r in rows)
+
+
+def _shared_walk_cases():
+    for n in (2, 3, 4, 5):
+        for max_nodes in (2000, 500_000) if n == 5 else (None, 1, 50, 3000):
+            yield n, max_nodes
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@pytest.mark.parametrize("n, max_nodes", list(_shared_walk_cases()))
+def test_shared_walk_matches_solo_searches(n, max_nodes, mode):
+    # one walk decides every k of a list; each k's result, stats and notes
+    # included, must be what its solo search gives (wall time is not
+    # compared).  The lists reach k = n - 1, the degree, where no cut
+    # exists, and k = n, above it; neither has a formula
+    g = StarGraph(n)
+    search = exact_kappa_super if mode == "vertex" else exact_lambda_super
+    budget = SearchBudget(max_nodes=max_nodes)
+    k_lists = [range(n + 1), range(1, n - 1), [0, n - 1, n]]
+    for workers in (1, 2):
+        solo = {k: search(g, k, budget=budget, workers=workers) for k in range(n + 1)}
+        for ks in filter(None, map(list, k_lists)):
+            shared = oracle._oracle(g, ks, mode, budget, workers, None)
+            assert [r.k for r in shared] == ks
+            for res in shared:
+                assert res == solo[res.k], (workers, ks, res.k)
 
 
 @pytest.mark.parametrize("strategy", ["subset-enumeration", "component-growth"])
@@ -446,7 +481,8 @@ def _search(strategy, adj, k, mode):
     stats = oracle.SearchStats(strategy=strategy, workers=1)
     if strategy == "growth":
         return oracle._growth_search(adj, k, mode, stats, None, None)
-    return oracle._subset_search(adj, k, mode, stats, None, None, 1, None, None)
+    return oracle._subset_search(adj, [k], mode, [stats], None, None, 1, [None],
+                                 None)[0]
 
 
 def _assert_matches_brute_force(strategy, adj, k, mode):
@@ -483,12 +519,46 @@ def test_component_growth_matches_brute_force(adj, k, mode):
     _assert_matches_brute_force("growth", adj, k, mode)
 
 
+def _walk(adj, ks, mode, formulas, max_nodes):
+    stats = [oracle.SearchStats(strategy="subset-enumeration", workers=1) for _ in ks]
+    outcomes = oracle._subset_search(adj, ks, mode, stats, max_nodes, None, 1,
+                                     formulas, None)
+    return list(zip(outcomes, stats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(connected=False),
+       st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+       st.sampled_from(["vertex", "edge"]), st.sampled_from([None, 1, 7, 40]),
+       st.data())
+def test_shared_subset_walk_matches_solo_walks_and_brute_force(adj, ks, mode,
+                                                               max_nodes, data):
+    # every k leaves the shared walk where its solo walk stops: at a cut, at
+    # its own cap below a (made-up) formula, at the no-cut rule, or when the
+    # node budget runs out
+    ks = sorted(ks)
+    formulas = [data.draw(st.one_of(st.none(), st.integers(1, 5))) for _ in ks]
+    shared = _walk(adj, ks, mode, formulas, max_nodes)
+    edges = _edge_list(adj)
+    for k, formula, got in zip(ks, formulas, shared):
+        assert got == _walk(adj, [k], mode, [formula], max_nodes)[0], (k, formula)
+        (proved, value, witness), _ = got
+        brute = brute_min_k_cut(len(adj), edges, k, mode)
+        if max_nodes is None:
+            assert proved, (k, formula)
+        if value is not None:
+            assert value == brute and brute_is_k_cut(len(adj), edges, k, mode, witness)
+        elif proved:
+            # no cut below the formula, or none at all without one
+            assert brute is None or (formula is not None and brute >= formula)
+
+
 def test_no_cut_once_k_reaches_the_largest_degree():
     path = [[1], [0, 2], [1]]
     for mode in ("vertex", "edge"):
         stats = oracle.SearchStats(strategy="subset", workers=1)
-        assert oracle._subset_search(path, 2, mode, stats, None, None, 1, None,
-                                     None) == (True, None, None)
+        assert oracle._subset_search(path, [2], mode, [stats], None, None, 1, [None],
+                                     None) == [(True, None, None)]
         assert stats.nodes == 0 and stats.sizes_examined == []
     # on a disconnected graph a whole component may go: removing one of
     # three triangles leaves two, each vertex keeping degree 2

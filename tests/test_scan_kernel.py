@@ -73,9 +73,15 @@ def removal_cases(draw):
     return adj, mode, rows, ground, edges, removal, k
 
 
-def _state(mode, rows, ground, k):
-    return _WorkerState({"mode": mode, "rows": rows, "ground": ground, "k": k,
+def _state(mode, rows, ground):
+    return _WorkerState({"mode": mode, "rows": rows, "ground": ground,
                          "deadline": None, "track_disconnectors": False})
+
+
+def _verdict(ws, removal, k):
+    """(disconnected, valid) from the removal check's surviving degree."""
+    disconnected, mind = _check_removal(ws, removal)
+    return disconnected, disconnected and mind >= k
 
 
 def _reduced(adj, mode, edges, removal):
@@ -99,7 +105,7 @@ def test_scan_matches_networkx(case):
     else:
         eid = {e: i for i, e in enumerate(edges)}
         critical = sorted(eid[tuple(sorted(e))] for e in nx.bridges(h))
-    ws = _state(mode, rows, ground, k)
+    ws = _state(mode, rows, ground)
     ncomp, got = _scan(ws, removal)
     assert (ncomp, sorted(got)) == (nx.number_connected_components(h), critical)
 
@@ -118,18 +124,19 @@ def test_removal_check_matches_components_and_min_degree(case):
                         or (mode == "vertex" and survivors < 2))
         min_degree = min(d for _, d in h.degree())
         expected = (disconnected, disconnected and min_degree >= k)
-    ws = _state(mode, rows, ground, k)
-    assert _check_removal(ws, removal, k) == expected
+        assert _check_removal(_state(mode, rows, ground), removal)[1] == min_degree
+    ws = _state(mode, rows, ground)
+    assert _verdict(ws, removal, k) == expected
 
 
 def test_scan_and_check_reuse_one_state():
     # stamps from earlier calls must not leak into later ones
     adj = [[1, 2], [0, 2], [0, 1, 3], [2]]  # a triangle with a pendant edge
     rows, ground, edges = _keyed_rows(adj, "edge")
-    ws = _state("edge", rows, ground, 1)
+    ws = _state("edge", rows, ground)
     bridge = edges.index((2, 3))
     assert _scan(ws, []) == (1, [bridge])
     assert _scan(ws, [bridge]) == (2, [])
-    assert _check_removal(ws, [bridge], 0) == (True, True)
-    assert _check_removal(ws, [bridge], 1) == (True, False)
+    assert _verdict(ws, [bridge], 0) == (True, True)
+    assert _verdict(ws, [bridge], 1) == (True, False)
     assert _scan(ws, []) == (1, [bridge])

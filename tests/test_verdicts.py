@@ -25,9 +25,10 @@ def _public(g, mode, removal, edges, k):
 
 def _kernel(g, mode, removal, k):
     rows, ground, _ = _keyed_rows(g.adjacency_lists(), mode)
-    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground, "k": k,
+    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground,
                        "deadline": None, "track_disconnectors": False})
-    return _check_removal(ws, removal, k)
+    disconnected, mind = _check_removal(ws, removal)
+    return disconnected, disconnected and mind >= k
 
 
 def _networkx_verdict(g, mode, removal, edges, k):
