@@ -774,6 +774,17 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
     For edge cuts both bounds meet automatically once the class is spent.
     The adjacency list must describe a connected graph: a whole component
     has an empty boundary, which would pass for a cut of size 0.
+
+    The walk is ESU (Wernicke, "Efficient detection of network motifs",
+    IEEE/ACM TCBB 2006): a set grows only from its smallest member, the
+    anchor, by the vertices of its extension, and a child takes the
+    extension's later vertices plus the added vertex's neighbours above the
+    anchor that no member touches.  One extension list serves the whole
+    walk: a state's extension is `ext[i:end]`, a child added from position
+    i appends its fresh neighbours, so its extension is `ext[i + 1:]`, and
+    truncating back to `end` afterwards restores the parent's.  The path
+    lives on an explicit frame stack, so the depth is bounded only by
+    |V|/2, not by the interpreter's recursion limit.
     """
     N = len(adj)
     rows, ground, edges = _keyed_rows(adj, mode)
@@ -785,59 +796,85 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
     cap = N // 2
     stats.notes.append(f"connected induced subgraphs up to size {cap}")
 
+    vertex = mode == "vertex"
     in_sub = bytearray(N)
     nbr_cnt = [0] * N
     sub: list[int] = []
+    ext: list[int] = []
+    # (next candidate, end) of every state on the path below the current one
+    frames: list[tuple[int, int]] = []
     nodes, truncated, lb, ub, witness = 0, False, inf, inf, None
     # side vertices short of k inner neighbours, vertex and edge boundary
     below_k = boundary = cut_edges = 0
-
-    def add(v):
-        nonlocal below_k, boundary, cut_edges
-        in_sub[v] = 1
-        sub.append(v)
-        # nbr_cnt[v] of v's edges turn internal, the rest join the boundary
-        cut_edges += len(adj[v]) - 2 * nbr_cnt[v]
-        if nbr_cnt[v] < k:
-            below_k += 1
-        if nbr_cnt[v] > 0:
-            boundary -= 1
-        for w in adj[v]:
-            if in_sub[w]:
-                if nbr_cnt[w] == k - 1:
-                    below_k -= 1
-            elif nbr_cnt[w] == 0:
+    root = anchor = i = end = 0
+    while True:
+        if i < end:
+            w = ext[i]
+            i += 1
+            frames.append((i, end))
+        elif sub:
+            # the current state is spent: take its vertex out again
+            v = sub.pop()
+            in_sub[v] = 0
+            row = adj[v]
+            for u in row:
+                c = nbr_cnt[u] - 1
+                nbr_cnt[u] = c
+                if in_sub[u]:
+                    if c == k - 1:
+                        below_k += 1
+                elif c == 0:
+                    boundary -= 1
+            c = nbr_cnt[v]
+            cut_edges -= len(row) - 2 * c
+            if c < k:
+                below_k -= 1
+            if c:
                 boundary += 1
-            nbr_cnt[w] += 1
+            i, end = frames.pop()
+            del ext[end:]
+            continue
+        elif root < N:
+            # the path is empty, so ext is too and i == end == 0
+            w = anchor = root
+            root += 1
+            frames.append((0, 0))
+        else:
+            break
 
-    def remove(v):
-        nonlocal below_k, boundary, cut_edges
-        sub.pop()
-        in_sub[v] = 0
-        for w in adj[v]:
-            nbr_cnt[w] -= 1
-            if in_sub[w]:
-                if nbr_cnt[w] == k - 1:
-                    below_k += 1
-            elif nbr_cnt[w] == 0:
-                boundary -= 1
-        cut_edges -= len(adj[v]) - 2 * nbr_cnt[v]
-        if nbr_cnt[v] < k:
-            below_k -= 1
-        if nbr_cnt[v] > 0:
-            boundary += 1
+        # add w: c of its edges turn internal, the rest join the boundary,
+        # and its neighbours that no member touches join it too; those above
+        # the anchor extend the new state
+        in_sub[w] = 1
+        sub.append(w)
+        row = adj[w]
+        c = nbr_cnt[w]
+        cut_edges += len(row) - 2 * c
+        if c < k:
+            below_k += 1
+        if c:
+            boundary -= 1
+        for u in row:
+            c = nbr_cnt[u]
+            if in_sub[u]:
+                if c == k - 1:
+                    below_k -= 1
+            elif c == 0:
+                boundary += 1
+                if u > anchor:
+                    ext.append(u)
+            nbr_cnt[u] = c + 1
+        end = len(ext)
 
-    def extend(ext, anchor):
-        nonlocal nodes, truncated, lb, ub, witness
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             truncated = True
-            return
+            break
         if deadline is not None and nodes % 4096 == 0 \
                 and time.monotonic() > deadline:
             truncated = True
-            return
-        b = boundary if mode == "vertex" else cut_edges
+            break
+        b = boundary if vertex else cut_edges
         if not below_k and len(sub) > k and b:
             if b < lb:
                 lb = b
@@ -848,30 +885,13 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
                 disconnected, mind = _check_removal(ws, cut)
                 if disconnected and mind >= k:
                     ub = b
-                    witness = cut if mode == "vertex" else [edges[e] for e in cut]
-        if len(sub) == cap:
-            return
-        # descendants of this state can never beat the incumbent once the
-        # bound below exceeds it; skipped descendants therefore cannot hold
-        # the class minimum either
-        if b - (cap - len(sub)) * shrink > ub:
-            return
-        for idx in range(len(ext)):
-            if truncated:
-                return
-            w = ext[idx]
-            fresh = [u for u in adj[w]
-                     if u > anchor and not in_sub[u] and nbr_cnt[u] == 0]
-            add(w)
-            extend(ext[idx + 1:] + fresh, anchor)
-            remove(w)
-
-    for v in range(N):
-        if truncated:
-            break
-        add(v)
-        extend([u for u in adj[v] if u > v], v)
-        remove(v)
+                    witness = cut if vertex else [edges[e] for e in cut]
+        # skip the children of a state at the cap, and of one whose
+        # descendants can never beat the incumbent because the bound below
+        # exceeds it; skipped descendants therefore cannot hold the class
+        # minimum either
+        if len(sub) == cap or b - (cap - len(sub)) * shrink > ub:
+            i = end
 
     stats.nodes = nodes
     stats.lower_bound = None if lb is inf else lb

@@ -7,14 +7,25 @@ subset enumeration with its own connectivity check.  The exceptions are
 differs from `classical_connectivity` only in the targets it sends flow to,
 and the `*_by_full_walk`, `*_by_member_checks` and `*_reference` functions,
 which read the graph's neighbour rows or its range check.
+`growth_search_reference` also judges its candidates with the library's
+keyed rows and removal check.
 """
 
 import itertools
+import time
 from array import array
 from math import inf
 
 from starcut import parse_perm, perm_rank
-from starcut.oracle import _edge_network, _max_flow_unit, _vertex_split_network
+from starcut.oracle import (
+    SearchStats,
+    _WorkerState,
+    _check_removal,
+    _edge_network,
+    _keyed_rows,
+    _max_flow_unit,
+    _vertex_split_network,
+)
 
 
 def rank_of(text: str) -> int:
@@ -240,3 +251,133 @@ def connectivity_by_every_target(g):
     heads, to, cap0 = _edge_network(adj)
     lam = min(_max_flow_unit(heads, to, cap0.copy(), 0, t, g.degree) for t in others)
     return kappa, lam
+
+
+def growth_search_reference(adj, k: int, mode: str, stats: SearchStats,
+                            max_nodes: int | None, deadline: float | None):
+    """Enumerate connected induced subgraphs once each and score their cuts.
+
+    The recursive walk with add/remove closures that `oracle._growth_search`
+    replaced, kept verbatim as the reference for its outcomes and stats.
+    It recurses once per added vertex, so deep walks hit the recursion
+    limit; call it only where the cap |V|/2 stays well below it.
+
+    The smallest side of any optimal cut is such a subgraph of size at most
+    |V|/2 with induced minimum degree >= k, so exhausting that class yields
+    a sound lower bound; candidates that validate give the upper bound.
+    For edge cuts both bounds meet automatically once the class is spent.
+    The adjacency list must describe a connected graph: a whole component
+    has an empty boundary, which would pass for a cut of size 0.
+    """
+    N = len(adj)
+    rows, ground, edges = _keyed_rows(adj, mode)
+    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground,
+                       "deadline": None, "track_disconnectors": False})
+    # one added vertex shrinks a vertex boundary by at most 1 and an edge
+    # boundary by at most its degree
+    shrink = 1 if mode == "vertex" else max(map(len, adj))
+    cap = N // 2
+    stats.notes.append(f"connected induced subgraphs up to size {cap}")
+
+    in_sub = bytearray(N)
+    nbr_cnt = [0] * N
+    sub: list[int] = []
+    nodes, truncated, lb, ub, witness = 0, False, inf, inf, None
+    # side vertices short of k inner neighbours, vertex and edge boundary
+    below_k = boundary = cut_edges = 0
+
+    def add(v):
+        nonlocal below_k, boundary, cut_edges
+        in_sub[v] = 1
+        sub.append(v)
+        # nbr_cnt[v] of v's edges turn internal, the rest join the boundary
+        cut_edges += len(adj[v]) - 2 * nbr_cnt[v]
+        if nbr_cnt[v] < k:
+            below_k += 1
+        if nbr_cnt[v] > 0:
+            boundary -= 1
+        for w in adj[v]:
+            if in_sub[w]:
+                if nbr_cnt[w] == k - 1:
+                    below_k -= 1
+            elif nbr_cnt[w] == 0:
+                boundary += 1
+            nbr_cnt[w] += 1
+
+    def remove(v):
+        nonlocal below_k, boundary, cut_edges
+        sub.pop()
+        in_sub[v] = 0
+        for w in adj[v]:
+            nbr_cnt[w] -= 1
+            if in_sub[w]:
+                if nbr_cnt[w] == k - 1:
+                    below_k += 1
+            elif nbr_cnt[w] == 0:
+                boundary -= 1
+        cut_edges -= len(adj[v]) - 2 * nbr_cnt[v]
+        if nbr_cnt[v] < k:
+            below_k -= 1
+        if nbr_cnt[v] > 0:
+            boundary += 1
+
+    def extend(ext, anchor):
+        nonlocal nodes, truncated, lb, ub, witness
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            truncated = True
+            return
+        if deadline is not None and nodes % 4096 == 0 \
+                and time.monotonic() > deadline:
+            truncated = True
+            return
+        b = boundary if mode == "vertex" else cut_edges
+        if not below_k and len(sub) > k and b:
+            if b < lb:
+                lb = b
+            if b < ub:
+                # the neighborhood, or the boundary's edge ids; ids follow
+                # sorted (u, w) order, so the edge witness comes out sorted
+                cut = sorted({key for u in sub for w, key in rows[u] if not in_sub[w]})
+                disconnected, mind = _check_removal(ws, cut)
+                if disconnected and mind >= k:
+                    ub = b
+                    witness = cut if mode == "vertex" else [edges[e] for e in cut]
+        if len(sub) == cap:
+            return
+        # descendants of this state can never beat the incumbent once the
+        # bound below exceeds it; skipped descendants therefore cannot hold
+        # the class minimum either
+        if b - (cap - len(sub)) * shrink > ub:
+            return
+        for idx in range(len(ext)):
+            if truncated:
+                return
+            w = ext[idx]
+            fresh = [u for u in adj[w]
+                     if u > anchor and not in_sub[u] and nbr_cnt[u] == 0]
+            add(w)
+            extend(ext[idx + 1:] + fresh, anchor)
+            remove(w)
+
+    for v in range(N):
+        if truncated:
+            break
+        add(v)
+        extend([u for u in adj[v] if u > v], v)
+        remove(v)
+
+    stats.nodes = nodes
+    stats.lower_bound = None if lb is inf else lb
+    value = None if ub is inf else ub
+    if truncated:
+        return False, value, witness
+    if mode == "vertex" and lb is not inf and ub != lb:
+        stats.notes.append("bounds did not close: some minimal neighborhood "
+                           "failed remainder degree validation")
+        return False, value, witness
+    if value is None:
+        stats.notes.append("no side with both induced minimum degrees >= k exists"
+                           if mode == "edge" else
+                           "no admissible side exists, so no cut exists")
+    return True, value, witness

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from starcut import StarGraph, is_k_edge_cut, is_k_vertex_cut
 from starcut.cli import main
+from helpers import rank_of
 
 # argv -> {"rc", "stdout"} of `starcut oracle`, recorded once from a known-good
 # build and compared byte for byte; never re-record it to match a change
@@ -223,6 +225,25 @@ def test_oracle_budget_exhausted_exit_three(capsys):
     assert code == 3
     assert data["kind"] == "upper-bound-only" and data["value"] == 6
     assert len(data["witness"]) == 6
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_component_growth_on_s7_ends_by_budget(capsys, mode):
+    # the growth walk may reach depth |V|/2 = 2,520 on S7, past the
+    # interpreter's recursion limit
+    code, out = run_cli(capsys, "oracle", "7", "1", "--mode", mode,
+                        "--strategy", "component-growth", "--max-nodes", "2000")
+    data = json.loads(out)
+    assert code == 3
+    assert data["kind"] == "upper-bound-only" and data["value"] == 10
+    assert data["stats"]["nodes"] == 2001
+    g = StarGraph(7)
+    if mode == "vertex":
+        verdict = is_k_vertex_cut(g, [rank_of(v) for v in data["witness"]], 1)
+    else:
+        verdict = is_k_edge_cut(g, [(rank_of(u), rank_of(v))
+                                    for u, v in data["witness"]], 1)
+    assert verdict.valid, verdict.reason
 
 
 def test_oracle_rejects_bad_budget():

@@ -30,6 +30,7 @@ from helpers import (
     brute_is_k_cut,
     brute_min_k_cut,
     connectivity_by_every_target,
+    growth_search_reference,
 )
 
 
@@ -300,6 +301,26 @@ def test_growth_truncation(s5):
     assert res.value == 6
 
 
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_growth_deadline_checked_every_4096_nodes(s5, mode):
+    # a deadline already passed stops the walk at its first clock check
+    stats = oracle.SearchStats(strategy="component-growth", workers=1)
+    proved, value, witness = oracle._growth_search(
+        s5.adjacency_lists(), 1, mode, stats, None, time.monotonic() - 1)
+    assert not proved and stats.nodes == 4096
+
+
+def test_growth_walk_depth_is_not_bounded_by_the_recursion_limit():
+    # on a path the first anchor's sets nest 1,500 deep, one vertex a level
+    n = 3000
+    path = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+    stats = oracle.SearchStats(strategy="component-growth", workers=1)
+    proved, value, witness = oracle._growth_search(path, 0, "vertex", stats,
+                                                   2000, None)
+    assert not proved and stats.nodes == 2001
+    assert (value, witness) == (1, [1])
+
+
 def test_budget_validation():
     with pytest.raises(InputError):
         SearchBudget(max_nodes=0)
@@ -512,11 +533,39 @@ def test_subset_enumeration_matches_brute_force(adj, k, mode):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_graphs(connected=True), st.integers(0, 2),
+@given(small_graphs(connected=True), st.integers(0, 3),
        st.sampled_from(["vertex", "edge"]))
 def test_component_growth_matches_brute_force(adj, k, mode):
     # growth's lower bound needs a connected graph, so it gets only those
     _assert_matches_brute_force("growth", adj, k, mode)
+
+
+def _assert_growth_matches_reference(adj, k, mode, max_nodes):
+    got, want = (oracle.SearchStats(strategy="component-growth", workers=1)
+                 for _ in range(2))
+    outcome = oracle._growth_search(adj, k, mode, got, max_nodes, None)
+    assert outcome == growth_search_reference(adj, k, mode, want, max_nodes, None)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(connected=True), st.integers(0, 3),
+       st.sampled_from(["vertex", "edge"]), st.sampled_from([None, 1, 5, 40]),
+       st.data())
+def test_growth_walk_matches_the_recursive_reference(adj, k, mode, max_nodes, data):
+    # shuffled rows change the order of states, which both walks must share
+    adj = [data.draw(st.permutations(row)) for row in adj]
+    _assert_growth_matches_reference(adj, k, mode, max_nodes)
+
+
+@pytest.mark.parametrize("n, max_nodes", [(2, None), (3, None), (4, None), (4, 50),
+                                          (5, 1), (5, 2_000), (5, 60_000)])
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_growth_walk_matches_the_recursive_reference_on_star_graphs(n, max_nodes,
+                                                                    mode):
+    adj = StarGraph(n).adjacency_lists()
+    for k in range(n):
+        _assert_growth_matches_reference(adj, k, mode, max_nodes)
 
 
 def _walk(adj, ks, mode, formulas, max_nodes):
