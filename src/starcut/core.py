@@ -218,13 +218,53 @@ def _perms(n: int) -> _PermTable | _RankArithmetic:
     return perms
 
 
+# Built once per n like the permutation tables and shared by every
+# materialized graph, read-only so that no caller can write into its rows.
+_ADJACENCY: dict[int, memoryview] = {}
+
+
+def _adjacency(n: int) -> memoryview:
+    adj = _ADJACENCY.get(n)
+    if adj is None:
+        adj = _ADJACENCY[n] = memoryview(_build_adjacency(n)).toreadonly()
+    return adj
+
+
+def _build_adjacency(n: int) -> array:
+    """The flat int32 adjacency of S_n, filled one swap position at a time.
+
+    The first n-1 symbols of a permutation determine the last, and for
+    n <= 9 they fit in one 8-byte word, so each rank is keyed by that
+    word.  Swapping position 0 with position i rewrites bytes 0 and i of
+    every key at once; a dict maps the swapped keys back to ranks.  The
+    index and the lookups read the words by the same native cast, so
+    byte order cannot change a rank.
+    """
+    d, count = n - 1, factorial(n)
+    cols = _perms(n).columns
+    key = bytearray(8 * count)
+    for j in range(n - 1):
+        key[j::8] = cols[j]
+    index = dict(zip(memoryview(key).cast("Q"), range(count)))
+    adj = array("i", bytes(4 * count * d))
+    for i in range(1, n):
+        swapped = bytearray(key)
+        swapped[0::8] = cols[i]
+        if i < n - 1:  # position n-1 is not in the key
+            swapped[i::8] = cols[0]
+        adj[i - 1::d] = array("i", map(index.__getitem__, memoryview(swapped).cast("Q")))
+    return adj
+
+
 class StarGraph:
     """Immutable n-dimensional star graph addressed by Lehmer rank.
 
-    mode "materialized" stores the adjacency as one flat int32 array,
+    mode "materialized" reads the adjacency from one flat int32 array,
     "implicit" computes neighbor ranks on demand, and "auto" materializes
-    up to n = 9.  Instances never mutate after construction, so they can
-    be shared freely across threads and forked workers.
+    up to n = 9.  The array is built on the first materialized S_n of a
+    process and shared, read-only, by every later one, so constructing a
+    graph again costs nothing.  Instances never mutate after construction,
+    so they can be shared freely across threads and forked workers.
     """
 
     def __init__(self, n: int, mode: str = "auto"):
@@ -251,32 +291,7 @@ class StarGraph:
         self.num_vertices = factorial(n)
         self.degree = n - 1
         self.num_edges = self.num_vertices * (n - 1) // 2
-        self._adj = self._materialize() if mode == "materialized" else None
-
-    def _materialize(self):
-        """The flat int32 adjacency, filled one swap position at a time.
-
-        The first n-1 symbols of a permutation determine the last, and for
-        n <= 9 they fit in one 8-byte word, so each rank is keyed by that
-        word.  Swapping position 0 with position i rewrites bytes 0 and i of
-        every key at once; a dict maps the swapped keys back to ranks.  The
-        index and the lookups read the words by the same native cast, so
-        byte order cannot change a rank.
-        """
-        n, d, count = self.n, self.degree, self.num_vertices
-        cols = _perms(n).columns
-        key = bytearray(8 * count)
-        for j in range(n - 1):
-            key[j::8] = cols[j]
-        index = dict(zip(memoryview(key).cast("Q"), range(count)))
-        adj = array("i", bytes(4 * count * d))
-        for i in range(1, n):
-            swapped = bytearray(key)
-            swapped[0::8] = cols[i]
-            if i < n - 1:  # position n-1 is not in the key
-                swapped[i::8] = cols[0]
-            adj[i - 1::d] = array("i", map(index.__getitem__, memoryview(swapped).cast("Q")))
-        return adj
+        self._adj = _adjacency(n) if mode == "materialized" else None
 
     def _check_vertex(self, v: int):
         if not 0 <= v < self.num_vertices:

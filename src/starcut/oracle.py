@@ -34,7 +34,6 @@ from .core import (
     InputError,
     InvariantViolationError,
     StarGraph,
-    _canon_edge,
 )
 from .cuts import (
     cut_size_formula,
@@ -362,11 +361,18 @@ def _keyed_rows(adj, mode):
     """(rows, ground size, edge list or None) for a plain adjacency list."""
     if mode == "vertex":
         return [tuple((w, w) for w in row) for row in adj], len(adj), None
-    edges = sorted((u, w) for u in range(len(adj)) for w in adj[u] if w > u)
-    eid = {e: i for i, e in enumerate(edges)}
-    rows = [tuple((w, eid[_canon_edge(u, w)]) for w in row)
+    # edges are numbered in sorted (u, w), u < w, order: each vertex holds
+    # the ids of its sorted upper neighbours, and an arc down reads its id
+    # from the lower end
+    ids = []
+    ground = 0
+    for u, row in enumerate(adj):
+        upper = sorted(filter(u.__lt__, row))
+        ids.append(dict(zip(upper, range(ground, ground + len(upper)))))
+        ground += len(upper)
+    rows = [tuple([(w, ids[u][w]) if w > u else (w, ids[w][u]) for w in row])
             for u, row in enumerate(adj)]
-    return rows, len(edges), edges
+    return rows, ground, [(u, w) for u, upper in enumerate(ids) for w in upper]
 
 
 def _stamp(ws: _WorkerState, removal) -> int:

@@ -8,7 +8,8 @@ differs from `classical_connectivity` only in the targets it sends flow to,
 and the `*_by_full_walk`, `*_by_member_checks` and `*_reference` functions,
 which read the graph's neighbour rows or its range check.
 `growth_search_reference` also judges its candidates with the library's
-keyed rows and removal check.
+keyed rows and removal check.  `keyed_rows_reference` is the edge
+numbering that `oracle._keyed_rows` replaced, kept verbatim.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from array import array
 from math import inf
 
 from starcut import parse_perm, perm_rank
+from starcut.core import _canon_edge
 from starcut.oracle import (
     SearchStats,
     _WorkerState,
@@ -251,6 +253,17 @@ def connectivity_by_every_target(g):
     heads, to, cap0 = _edge_network(adj)
     lam = min(_max_flow_unit(heads, to, cap0.copy(), 0, t, g.degree) for t in others)
     return kappa, lam
+
+
+def keyed_rows_reference(adj, mode):
+    """(rows, ground size, edge list or None) for a plain adjacency list."""
+    if mode == "vertex":
+        return [tuple((w, w) for w in row) for row in adj], len(adj), None
+    edges = sorted((u, w) for u in range(len(adj)) for w in adj[u] if w > u)
+    eid = {e: i for i, e in enumerate(edges)}
+    rows = [tuple((w, eid[_canon_edge(u, w)]) for w in row)
+            for u, row in enumerate(adj)]
+    return rows, len(edges), edges
 
 
 def growth_search_reference(adj, k: int, mode: str, stats: SearchStats,

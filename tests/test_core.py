@@ -23,6 +23,8 @@ from starcut import (
     star_neighbors,
     unique_neighbor_report,
 )
+from starcut import core
+from starcut.cli import _check_lines
 from starcut.core import _vertex_set
 from helpers import (
     adjacency_by_permutation_loop,
@@ -121,8 +123,46 @@ def test_s3_is_a_six_cycle(s3):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_bulk_build_matches_the_permutation_loop(n):
+def test_bulk_build_matches_the_permutation_loop(n, monkeypatch):
+    monkeypatch.setattr(core, "_ADJACENCY", {})  # a fresh build, not the cache
     assert StarGraph(n)._adj == adjacency_by_permutation_loop(n)
+
+
+def test_every_materialized_graph_shares_one_adjacency_per_n():
+    for n in range(1, 10):
+        g = StarGraph(n)
+        assert g._adj is StarGraph(n, mode="materialized")._adj
+        assert g._adj is build_star_graph(n)._adj
+
+
+def test_the_shared_adjacency_is_read_only():
+    g = StarGraph(5)
+    with pytest.raises(TypeError):
+        g._adj[0] = 1
+    assert g._adj.readonly
+
+
+def test_implicit_graphs_keep_no_adjacency():
+    assert StarGraph(5, mode="implicit")._adj is None
+    assert StarGraph(10)._adj is None
+
+
+def test_check_materializes_each_star_at_most_once(monkeypatch):
+    # the partition validators ask for S5 and the substar cuts for S1..S5
+    # again and again; only the first request of each n builds
+    monkeypatch.setattr(core, "_ADJACENCY", {})
+    builds = []
+    build = core._build_adjacency
+
+    def counting_build(n):
+        builds.append(n)
+        return build(n)
+
+    monkeypatch.setattr(core, "_build_adjacency", counting_build)
+    checks = _check_lines(StarGraph(6), seed=0, samples=0)
+    assert all(ok for _, ok, _ in checks)
+    assert sorted(builds) == sorted(set(builds))
+    assert 5 in builds and 6 in builds
 
 
 def test_bulk_build_of_s9_matches_rank_arithmetic():

@@ -31,6 +31,7 @@ from helpers import (
     brute_min_k_cut,
     connectivity_by_every_target,
     growth_search_reference,
+    keyed_rows_reference,
 )
 
 
@@ -496,6 +497,22 @@ def small_graphs(draw, connected):
 
 def _edge_list(adj):
     return [(u, w) for u, row in enumerate(adj) for w in row if u < w]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(connected=False), st.randoms(use_true_random=False))
+def test_keyed_rows_match_the_global_edge_numbering(adj, rnd):
+    # rows in any order: edge ids follow sorted (u, w), u < w, whatever the
+    # order a row lists its neighbours in, and rows keep that order
+    for row in adj:
+        rnd.shuffle(row)
+    assert oracle._keyed_rows(adj, "edge") == keyed_rows_reference(adj, "edge")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_keyed_rows_of_star_graphs_match_the_global_edge_numbering(n):
+    adj = StarGraph(n).adjacency_lists()
+    assert oracle._keyed_rows(adj, "edge") == keyed_rows_reference(adj, "edge")
 
 
 def _search(strategy, adj, k, mode):
