@@ -5,7 +5,8 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
 * subset enumeration walks removal sets in ascending size below the
   constructive bound.  Sets of size s are decided through their size s-1
   prefix: one articulation-point (or bridge) scan of the partially removed
-  graph classifies every extension at once.  Sizes below the classical
+  graph classifies every extension at once, and disjoint paths to vertex 0
+  skip the scans they prove would find nothing.  Sizes below the classical
   connectivity are pruned wholesale, since such removals cannot disconnect.
   Odd edge sizes go by boundary parity if the graph is connected and every
   degree is even.  A connected graph has no cut when k >= 1 and k is at
@@ -347,6 +348,7 @@ class _WorkerState:
         self.disc = [0] * self.N
         self.low = [0] * self.N
         self.gen = 0
+        self.family = payload.get("family")  # see _path_family
 
 
 _WS: _WorkerState | None = None
@@ -373,6 +375,114 @@ def _keyed_rows(adj, mode):
     rows = [tuple([(w, ids[u][w]) if w > u else (w, ids[w][u]) for w in row])
             for u, row in enumerate(adj)]
     return rows, ground, [(u, w) for u, upper in enumerate(ids) for w in upper]
+
+
+def _path_family(adj, rows, ground, mode, deadline):
+    """Disjoint paths from every vertex v != 0 to vertex 0, indexed by key.
+
+    A maximum set of internally vertex-disjoint paths (vertex mode) or
+    edge-disjoint walks (edge mode) for each vertex, read off one unit max
+    flow each (Menger).  Returns (hits, risk, high, width, first, keys).
+    The paths of v have the ids first[v] to first[v + 1] - 1, and path p
+    holds the removal keys keys[p]: its inner vertices, or its edge ids.
+    The other four count, for every vertex in one integer sum, the keys of
+    a removal that lie on its paths.  Vertex v owns the `width`-bit lane at
+    bit v * width; hits[key] has a 1 in the lane of every vertex with a
+    path through key.  Summed over the removal and added to `risk`, a lane
+    reaches its top bit (`high`) exactly when at least all but one of that
+    vertex's paths hold a removed key; lanes are wide enough that no sum
+    carries into the next.  Returns None when some vertex has fewer than
+    two paths, or when the deadline passes first.
+    """
+    N = len(rows)
+    vertex = mode == "vertex"
+    if vertex:
+        # source: the out-half 2v+1; sink: the in-half of vertex 0
+        heads, to, cap0 = _vertex_split_network(adj)
+    else:
+        heads, to, cap0 = _edge_network(adj)
+        # _edge_network adds one arc pair per row entry w > u, in row order
+        ekey = [key for u, row in enumerate(rows) for w, key in row if w > u]
+    width = max(ground, N).bit_length() + 1
+    half = 1 << (width - 1)
+    hits = [0] * ground
+    risk = high = 0
+    first = [0, 0]
+    keys: list[tuple] = []
+    for v in range(1, N):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        cap = cap0.copy()
+        source = 2 * v + 1 if vertex else v
+        npaths = _max_flow_unit(heads, to, cap, source, 0, len(rows[v]))
+        if npaths < 2:
+            return None
+        lane = 1 << (v * width)
+        risk |= (half - npaths + 1) * lane
+        high |= half * lane
+        # an arc carries flow when its capacity is spent; following one
+        # restores it, so no walk takes an arc twice
+        for a in heads[source]:
+            if cap[a] or not cap0[a]:
+                continue
+            path = []
+            b = a
+            while True:
+                cap[b] = 1
+                u = to[b]
+                if vertex:
+                    if u == 0:
+                        break
+                    path.append(u >> 1)
+                    u += 1
+                else:
+                    path.append(ekey[b >> 1])
+                    if u == 0:
+                        break
+                b = next(c for c in heads[u] if cap0[c] and not cap[c])
+            for key in path:
+                hits[key] |= lane
+            keys.append(tuple(path))
+        first.append(len(keys))
+    return hits, risk, high, width, first, keys
+
+
+def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
+    """Whether the path family proves that the scan of `base` finds one
+    component and no critical key in (L, x_end), so the base decides its
+    extensions with no check.
+
+    The paths of a vertex are disjoint, so a key lies on at most one of
+    them.  A vertex that keeps one of its paths reaches vertex 0, and one
+    that keeps two reaches it after any one more key; a vertex that keeps
+    a single path reaches it after any key off that path.  Only vertices
+    with at most one path free of the base's keys need a look, and the
+    lane sum finds every such vertex, and perhaps a few more.  The family
+    proves nothing in vertex mode once vertex 0 is removed or may be, and
+    the fewer-than-two-survivors convention is left to the scan.
+    """
+    hits, risk, high, width, first, keys = ws.family
+    vertex = ws.vertex
+    if vertex and (L < 0 < x_end or (base and base[0] == 0) or ws.N - len(base) < 3):
+        return False
+    risky = sum(map(hits.__getitem__, base), risk) & high
+    if not risky:
+        return True
+    removed = set(base)
+    while risky:
+        bit = risky & -risky
+        risky ^= bit
+        v = bit.bit_length() // width - 1
+        if vertex and v in removed:
+            continue
+        alive = [p for p in range(first[v], first[v + 1]) if removed.isdisjoint(keys[p])]
+        if len(alive) > 1:
+            continue
+        if not alive:
+            return False
+        if any(L < x < x_end for x in keys[alive[0]]):
+            return False
+    return True
 
 
 def _stamp(ws: _WorkerState, removal) -> int:
@@ -522,6 +632,9 @@ def _run_task(task):
         if deadline is not None and (it & 255) == 0 and time.monotonic() > deadline:
             expired = True
             break
+        if ws.family is not None and _certified(ws, base, L, x_end):
+            nodes += x_end - 1 - L
+            continue
         ncomp, critical = _scan(ws, base)
         if ncomp >= 2 or (vertex and ws.N - s < 2):
             # already split, or the extension leaves fewer than two
@@ -621,6 +734,7 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     parity = mode == "edge" and connected and all(len(row) % 2 == 0 for row in rows)
     payload["track_disconnectors"] = parity
     conn_lb = 1 if flow_bound is None else flow_bound
+    arcs = sum(map(len, rows))
 
     outcomes: list = [None] * len(ks)
     walking: list[tuple[int, int]] = []  # (index into ks, largest size)
@@ -721,6 +835,16 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 plan = _plan_level(ground, s, remaining)
                 if plan.truncated:
                     truncated = True
+                if "family" not in payload and plan.bases_total >= arcs:
+                    # one flow per vertex, with a breadth-first search (about
+                    # a scan) per path it finds: roughly a scan per arc, so
+                    # the family pays once a level plans a base per arc
+                    payload["family"] = _path_family(adj, rows, ground, mode, deadline)
+                    if pool is not None:
+                        # fork the workers again, so they inherit it
+                        pool.close()
+                        pool.join()
+                        pool = None
                 tasks = _make_tasks(plan, workers, wks)
                 if workers > 1 and len(tasks) > 1:
                     if pool is None:

@@ -3,14 +3,30 @@
 The scan and the removal check take plain (neighbour, removal key) rows, so
 they are compared here against networkx on graphs far from star graphs:
 trees, cycles, complete graphs and random graphs, glued into graphs with
-bridges, cut vertices or several components.
+bridges, cut vertices or several components.  The path family that lets a
+base skip its scan is held to the scan on 2-connected random graphs and on
+star graphs, and whole searches with and without it must agree.
 """
+
+import random
+import sys
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starcut.oracle import _WorkerState, _check_removal, _keyed_rows, _scan
+from starcut import SearchBudget, SearchStats, StarGraph
+from starcut import oracle
+from starcut.oracle import (
+    _WorkerState,
+    _certified,
+    _check_removal,
+    _keyed_rows,
+    _path_family,
+    _scan,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -73,9 +89,10 @@ def removal_cases(draw):
     return adj, mode, rows, ground, edges, removal, k
 
 
-def _state(mode, rows, ground):
+def _state(mode, rows, ground, family=None):
     return _WorkerState({"mode": mode, "rows": rows, "ground": ground,
-                         "deadline": None, "track_disconnectors": False})
+                         "deadline": None, "track_disconnectors": False,
+                         "family": family})
 
 
 def _verdict(ws, removal, k):
@@ -140,3 +157,226 @@ def test_scan_and_check_reuse_one_state():
     assert _verdict(ws, [bridge], 0) == (True, True)
     assert _verdict(ws, [bridge], 1) == (True, False)
     assert _scan(ws, []) == (1, [bridge])
+
+
+# ---------------------------------------------------------------------------
+# the path family: a skipped scan is one that finds nothing
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def two_path_graphs(draw):
+    """Graphs in which every vertex has two disjoint paths to vertex 0.
+
+    A block is a cycle through 3 to 8 vertices in random order plus random
+    chords: 2-connected, since the cycle is Hamiltonian.  Half the graphs
+    glue a second block onto the first at vertex 0, which makes vertex 0 a
+    cut vertex, yet every other vertex keeps two internally disjoint paths
+    (and two edge-disjoint walks) to it.
+    """
+    adj: list[set] = []
+    for glued in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(3, 8))
+        vs = [0] * glued + list(range(len(adj), len(adj) + size - glued))
+        adj.extend(set() for _ in range(size - glued))
+        order = draw(st.permutations(vs))
+        pairs = [(order[i], order[(i + 1) % size]) for i in range(size)]
+        pairs += draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)),
+                               max_size=2 * size))
+        for u, w in pairs:
+            if u != w:
+                adj[u].add(w)
+                adj[w].add(u)
+    return [sorted(row) for row in adj]
+
+
+def _extension_span(draw, ground):
+    """A base as _run_task meets it: sorted, L its largest key (-1 when
+    empty), deciding the extensions x with L < x < x_end."""
+    base = tuple(sorted(draw(st.lists(st.integers(0, ground - 1), unique=True,
+                                      max_size=6))))
+    L = base[-1] if base else -1
+    return base, L, draw(st.integers(L + 1, ground))
+
+
+def _assert_skip_is_sound(ws, base, L, x_end):
+    """When the family says skip, the scan finds one component and no
+    critical key among the extensions, and no extension leaves fewer than
+    two survivors in vertex mode (_run_task checks every one of those)."""
+    if _certified(ws, base, L, x_end):
+        assert not (ws.vertex and ws.N - len(base) - 1 < 2), (base, L, x_end)
+        ncomp, critical = _scan(ws, base)
+        assert ncomp == 1, (base, L, x_end)
+        assert not [c for c in critical if L < c < x_end], (base, L, x_end, critical)
+        return True
+    return False
+
+
+@settings(max_examples=600, deadline=None)
+@given(two_path_graphs(), st.sampled_from(["vertex", "edge"]), st.data())
+def test_skip_is_sound_on_graphs_with_two_paths_to_vertex_0(adj, mode, data):
+    rows, ground, edges = _keyed_rows(adj, mode)
+    family = _path_family(adj, rows, ground, mode, None)
+    assert family is not None
+    ws = _state(mode, rows, ground, family)
+    for _ in range(8):
+        _assert_skip_is_sound(ws, *_extension_span(data.draw, ground))
+
+
+@lru_cache(maxsize=None)
+def _star_state(n, mode):
+    adj = StarGraph(n).adjacency_lists()
+    rows, ground, edges = _keyed_rows(adj, mode)
+    return _state(mode, rows, ground, _path_family(adj, rows, ground, mode, None))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.sampled_from(["vertex", "edge"]), st.data())
+def test_skip_is_sound_on_star_graphs(n, mode, data):
+    ws = _star_state(n, mode)
+    assert ws.family is not None
+    for _ in range(8):
+        _assert_skip_is_sound(ws, *_extension_span(data.draw, ws.ground))
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_most_level_four_bases_of_s5_skip_their_scan(mode):
+    # the family earns its keep: the S5 k=1 walk starts at size 4, from
+    # bases of size 3 over every extension above their largest key
+    ws = _star_state(5, mode)
+    rng = random.Random(0)
+    bases = [tuple(sorted(rng.sample(range(ws.ground), 3))) for _ in range(2000)]
+    skipped = sum(_assert_skip_is_sound(ws, b, b[-1], ws.ground) for b in bases)
+    assert skipped >= 0.8 * len(bases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_path_graphs(), st.sampled_from(["vertex", "edge"]))
+def test_path_family_holds_maximum_disjoint_paths_to_vertex_0(adj, mode):
+    # each vertex gets as many paths as networkx counts, pairwise disjoint
+    # in their keys, and each path's keys join the vertex to vertex 0
+    from networkx.algorithms.connectivity import (
+        local_edge_connectivity,
+        local_node_connectivity,
+    )
+
+    rows, ground, edges = _keyed_rows(adj, mode)
+    hits, risk, high, width, first, keys = _path_family(adj, rows, ground, mode, None)
+    g = _reduced(adj, mode, edges, [])
+    count = local_node_connectivity if mode == "vertex" else local_edge_connectivity
+    for v in range(1, len(adj)):
+        paths = keys[first[v]:first[v + 1]]
+        assert len(paths) == count(g, v, 0)
+        held = [key for path in paths for key in path]
+        assert len(held) == len(set(held))
+        for p, path in enumerate(paths, first[v]):
+            if mode == "vertex":
+                assert v not in path and 0 not in path
+                h = g.subgraph({v, 0, *path})
+            else:
+                h = nx.Graph(edges[e] for e in path)
+            assert h.has_node(v) and h.has_node(0) and nx.has_path(h, v, 0)
+            for key in path:
+                assert hits[key] >> (v * width) & 1
+
+
+@pytest.mark.parametrize("mode, adj", [
+    ("vertex", [[1], [0, 2], [1]]),  # a path
+    ("vertex", [[1, 2], [0, 2], [0, 1, 3, 4], [2, 4], [2, 3]]),  # a cut vertex
+    ("edge", [[1, 2], [0, 2], [0, 1, 3], [2, 4, 5], [3, 5], [3, 4]]),  # a bridge
+    ("edge", [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]),  # two triangles
+    ("vertex", [[1], [0]]),  # K2: the one path of vertex 1 is its edge
+])
+def test_path_family_is_not_used_below_two_paths_per_vertex(mode, adj):
+    rows, ground, edges = _keyed_rows(adj, mode)
+    assert _path_family(adj, rows, ground, mode, None) is None
+
+
+def test_path_family_gives_up_at_the_deadline():
+    adj = StarGraph(4).adjacency_lists()
+    rows, ground, edges = _keyed_rows(adj, "vertex")
+    assert _path_family(adj, rows, ground, "vertex", 0.0) is None
+
+
+def test_path_family_stays_unbuilt_when_the_budget_plans_little(monkeypatch):
+    # the family costs about one scan per arc, so a level must plan that
+    # many bases first: S6 at 2,000 nodes plans a few, S5 edge at 200,000
+    # nodes plans enough
+    built = []
+    real = oracle._path_family
+    monkeypatch.setattr(oracle, "_path_family",
+                        lambda *a: built.append(a[3]) or real(*a))
+    oracle.exact_kappa_super(StarGraph(6), 1, SearchBudget(max_nodes=2000))
+    assert built == []
+    oracle.exact_lambda_super(StarGraph(5), 1, SearchBudget(max_nodes=200_000))
+    assert built == ["edge"]
+
+
+def _whole_walk_cases():
+    # unbudgeted S5 with the family turned off takes minutes, so S5 runs
+    # at a budget whose size-4 level plans enough bases to build it
+    for n in (2, 3, 4, 5):
+        for max_nodes in (50, 3000, 200_000) if n == 5 else (None, 50, 3000):
+            yield n, max_nodes
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@pytest.mark.parametrize("n, max_nodes", list(_whole_walk_cases()))
+def test_whole_walk_is_unchanged_by_the_path_family(monkeypatch, n, max_nodes, mode):
+    # every k of the star in one walk, on 1 and 2 workers: results, node
+    # and check counts, witnesses and notes must match a walk that scans
+    # every base
+    g = StarGraph(n)
+    ks = list(range(n + 1))
+    budget = SearchBudget(max_nodes=max_nodes)
+    real = oracle._path_family
+    used = []
+
+    def spy(*args):
+        family = real(*args)
+        used.append(family is not None)
+        return family
+
+    for workers in (1, 2):
+        monkeypatch.setattr(oracle, "_path_family", spy)
+        fast = oracle._oracle(g, ks, mode, budget, workers, None)
+        monkeypatch.setattr(oracle, "_path_family", lambda *args: None)
+        slow = oracle._oracle(g, ks, mode, budget, workers, None)
+        assert fast == slow, workers
+    if (n, max_nodes) in ((4, None), (4, 3000), (5, 200_000)):
+        assert used == [True, True]
+
+
+def _circulant(size, steps):
+    return [sorted({(v + d) % size for d in steps} | {(v - d) % size for d in steps})
+            for v in range(size)]
+
+
+_FAMILY_FLAGS = None  # the file every task appends 1 (family) or 0 (none) to
+_run_task = oracle._run_task
+
+
+def _run_task_noting_the_family(task):
+    with open(_FAMILY_FLAGS, "a") as f:
+        f.write("0" if oracle._WS.family is None else "1")
+    return _run_task(task)
+
+
+def test_workers_forked_before_the_family_get_it(monkeypatch, tmp_path):
+    # C_520(1, 2) is 4-connected.  Its size-2 level plans 519 bases: two
+    # tasks for a pool of two, but fewer bases than its 2,080 arcs.  The
+    # size-3 level plans more, builds the family and forks the pool again,
+    # so each of its tasks runs with the family
+    adj = _circulant(520, (1, 2))
+    flags = tmp_path / "flags"
+    monkeypatch.setattr(sys.modules[__name__], "_FAMILY_FLAGS", str(flags))
+    monkeypatch.setattr(oracle, "_run_task", _run_task_noting_the_family)
+    budget = 520 + comb(520, 2) + 3000 * 500
+    stats = [SearchStats(strategy="subset-enumeration", workers=2)]
+    (proved, value, witness), = oracle._subset_search(adj, [0], "vertex", stats, budget,
+                                                      None, 2, [None], None)
+    assert (proved, value, stats[0].nodes) == (False, None, budget)
+    # one task for size 1, one per largest key for size 2
+    seen = flags.read_text()
+    assert seen[:520] == "0" * 520
+    assert set(seen[520:]) == {"1"}
