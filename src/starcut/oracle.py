@@ -835,16 +835,14 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 plan = _plan_level(ground, s, remaining)
                 if plan.truncated:
                     truncated = True
-                if "family" not in payload and plan.bases_total >= arcs:
+                if flow_bound is not None and pool is None and "family" not in payload \
+                        and plan.bases_total >= arcs:
                     # one flow per vertex, with a breadth-first search (about
                     # a scan) per path it finds: roughly a scan per arc, so
-                    # the family pays once a level plans a base per arc
+                    # the family pays once a level plans a base per arc.  It
+                    # costs what the max-flow bound cost, so it is built only
+                    # where that bound was, and before any worker forks
                     payload["family"] = _path_family(adj, rows, ground, mode, deadline)
-                    if pool is not None:
-                        # fork the workers again, so they inherit it
-                        pool.close()
-                        pool.join()
-                        pool = None
                 tasks = _make_tasks(plan, workers, wks)
                 if workers > 1 and len(tasks) > 1:
                     if pool is None:

@@ -9,15 +9,13 @@ star graphs, and whole searches with and without it must agree.
 """
 
 import random
-import sys
 from functools import lru_cache
-from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starcut import SearchBudget, SearchStats, StarGraph
+from starcut import SearchBudget, StarGraph
 from starcut import oracle
 from starcut.oracle import (
     _WorkerState,
@@ -300,13 +298,15 @@ def test_path_family_gives_up_at_the_deadline():
 
 def test_path_family_stays_unbuilt_when_the_budget_plans_little(monkeypatch):
     # the family costs about one scan per arc, so a level must plan that
-    # many bases first: S6 at 2,000 nodes plans a few, S5 edge at 200,000
-    # nodes plans enough
+    # many bases first: S5 vertex at 2,000 nodes plans 18 of its 480 arcs,
+    # S5 edge at 200,000 nodes plans enough.  It costs what the max-flow
+    # bound costs, so S6, which has no such bound, never builds it
     built = []
     real = oracle._path_family
     monkeypatch.setattr(oracle, "_path_family",
                         lambda *a: built.append(a[3]) or real(*a))
-    oracle.exact_kappa_super(StarGraph(6), 1, SearchBudget(max_nodes=2000))
+    oracle.exact_kappa_super(StarGraph(5), 1, SearchBudget(max_nodes=2000))
+    oracle.exact_kappa_super(StarGraph(6), 1, SearchBudget(max_nodes=200_000))
     assert built == []
     oracle.exact_lambda_super(StarGraph(5), 1, SearchBudget(max_nodes=200_000))
     assert built == ["edge"]
@@ -346,37 +346,3 @@ def test_whole_walk_is_unchanged_by_the_path_family(monkeypatch, n, max_nodes, m
     if (n, max_nodes) in ((4, None), (4, 3000), (5, 200_000)):
         assert used == [True, True]
 
-
-def _circulant(size, steps):
-    return [sorted({(v + d) % size for d in steps} | {(v - d) % size for d in steps})
-            for v in range(size)]
-
-
-_FAMILY_FLAGS = None  # the file every task appends 1 (family) or 0 (none) to
-_run_task = oracle._run_task
-
-
-def _run_task_noting_the_family(task):
-    with open(_FAMILY_FLAGS, "a") as f:
-        f.write("0" if oracle._WS.family is None else "1")
-    return _run_task(task)
-
-
-def test_workers_forked_before_the_family_get_it(monkeypatch, tmp_path):
-    # C_520(1, 2) is 4-connected.  Its size-2 level plans 519 bases: two
-    # tasks for a pool of two, but fewer bases than its 2,080 arcs.  The
-    # size-3 level plans more, builds the family and forks the pool again,
-    # so each of its tasks runs with the family
-    adj = _circulant(520, (1, 2))
-    flags = tmp_path / "flags"
-    monkeypatch.setattr(sys.modules[__name__], "_FAMILY_FLAGS", str(flags))
-    monkeypatch.setattr(oracle, "_run_task", _run_task_noting_the_family)
-    budget = 520 + comb(520, 2) + 3000 * 500
-    stats = [SearchStats(strategy="subset-enumeration", workers=2)]
-    (proved, value, witness), = oracle._subset_search(adj, [0], "vertex", stats, budget,
-                                                      None, 2, [None], None)
-    assert (proved, value, stats[0].nodes) == (False, None, budget)
-    # one task for size 1, one per largest key for size 2
-    seen = flags.read_text()
-    assert seen[:520] == "0" * 520
-    assert set(seen[520:]) == {"1"}
