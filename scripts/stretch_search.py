@@ -4,8 +4,8 @@
 The vertex search decides every removal set of size up to 5 over 120
 vertices (198.8M subsets); the edge search covers 240 edges (134.8M
 subsets), with odd sizes settled by the boundary-parity shortcut.  On 2
-workers of a 2-vCPU host both end `exact`: vertex mode in 72-97 s, edge
-mode in 4-7 s.  Budget exhaustion downgrades the answer to an upper bound,
+workers of a 2-vCPU host both end `exact`: vertex mode in 35-46 s, edge
+mode in 4-5 s.  Budget exhaustion downgrades the answer to an upper bound,
 never to a wrong exact value.
 
     python scripts/stretch_search.py --workers 2 --minutes 5

@@ -457,18 +457,27 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
     that keeps two reaches it after any one more key; a vertex that keeps
     a single path reaches it after any key off that path.  Only vertices
     with at most one path free of the base's keys need a look, and the
-    lane sum finds every such vertex, and perhaps a few more.  The family
-    proves nothing in vertex mode once vertex 0 is removed or may be, and
-    the fewer-than-two-survivors convention is left to the scan.
+    lane sum finds every such vertex, and perhaps a few more.
+
+    A vertex that its own paths do not clear is cleared through two of its
+    links whose keys are not in the base, each to vertex 0 or to a
+    neighbour that keeps two paths free of the base (its lane bit clear,
+    or a count of its paths).  One more key is one vertex or one edge: it
+    cuts at most one of the two links, and it lies on at most one of the
+    other neighbour's paths, so the vertex still reaches vertex 0 through
+    that neighbour.  The family proves nothing in vertex mode once vertex
+    0 is removed or may be, and the fewer-than-two-survivors convention is
+    left to the scan.
     """
     hits, risk, high, width, first, keys = ws.family
     vertex = ws.vertex
     if vertex and (L < 0 < x_end or (base and base[0] == 0) or ws.N - len(base) < 3):
         return False
-    risky = sum(map(hits.__getitem__, base), risk) & high
-    if not risky:
+    mask = sum(map(hits.__getitem__, base), risk) & high
+    if not mask:
         return True
     removed = set(base)
+    risky = mask
     while risky:
         bit = risky & -risky
         risky ^= bit
@@ -476,11 +485,19 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
         if vertex and v in removed:
             continue
         alive = [p for p in range(first[v], first[v + 1]) if removed.isdisjoint(keys[p])]
-        if len(alive) > 1:
+        if len(alive) > 1 or (alive and not any(L < x < x_end for x in keys[alive[0]])):
             continue
-        if not alive:
-            return False
-        if any(L < x < x_end for x in keys[alive[0]]):
+        robust = 0
+        for w, key in ws.rows[v]:
+            if key in removed:
+                continue
+            if (w == 0 or not mask >> ((w + 1) * width - 1) & 1
+                    or sum(removed.isdisjoint(keys[p])
+                           for p in range(first[w], first[w + 1])) > 1):
+                robust += 1
+                if robust == 2:
+                    break
+        else:
             return False
     return True
 

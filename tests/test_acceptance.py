@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The large n=5, k=1 search
 honors a configurable wall budget (--stretch-seconds, default 75 per mode);
-within any budget it must never report a wrong exact value, and edge mode
-must exhaust its class within it.
+within any budget it must never report a wrong exact value, and both modes
+must exhaust their class within the default one.
 """
 
 import contextlib
@@ -72,13 +72,13 @@ def test_acceptance_2_stretch_search_s5_k1(request, s5):
     seconds = request.config.getoption("--stretch-seconds")
     workers = min(8, os.cpu_count() or 1)
     desc = (
-        f"n=5 k=1 search reports 6 within {seconds:.0f}s per mode on {workers} "
-        f"workers, exact in edge mode (vertex mode: exact or honest upper bound)"
+        f"n=5 k=1 search reports exact 6 within {seconds:.0f}s per mode on "
+        f"{workers} workers"
     )
     with criterion(2, desc):
         budget = SearchBudget(max_wall_time=seconds)
         rv = exact_kappa_super(s5, 1, budget=budget, workers=workers)
-        assert rv.kind in ("exact", "upper-bound-only"), rv.kind
+        assert rv.kind == "exact", rv.kind
         assert rv.value == 6, rv
         assert is_k_vertex_cut(s5, rv.witness, 1).valid
         budget = SearchBudget(max_wall_time=seconds)

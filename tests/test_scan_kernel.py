@@ -210,22 +210,61 @@ def _assert_skip_is_sound(ws, base, L, x_end):
     return False
 
 
+def _family_state(adj, mode):
+    rows, ground, edges = _keyed_rows(adj, mode)
+    return _state(mode, rows, ground, _path_family(adj, rows, ground, mode, None))
+
+
 @settings(max_examples=600, deadline=None)
 @given(two_path_graphs(), st.sampled_from(["vertex", "edge"]), st.data())
 def test_skip_is_sound_on_graphs_with_two_paths_to_vertex_0(adj, mode, data):
-    rows, ground, edges = _keyed_rows(adj, mode)
-    family = _path_family(adj, rows, ground, mode, None)
-    assert family is not None
-    ws = _state(mode, rows, ground, family)
+    ws = _family_state(adj, mode)
+    assert ws.family is not None
     for _ in range(8):
-        _assert_skip_is_sound(ws, *_extension_span(data.draw, ground))
+        _assert_skip_is_sound(ws, *_extension_span(data.draw, ws.ground))
+
+
+@pytest.mark.parametrize("mode, adj, base, v", [
+    # the 4-cycle 0-1-2-3 with the chord 0-2 (edge id 1), which the base
+    # removes: vertex 3 keeps its path 3-0, an edge the extensions may
+    # remove, and loses 3-2-0; its links to 0 and to 2 clear it, since 2
+    # keeps 2-1-0 and 2-3-0
+    ("edge", [[1, 2, 3], [0, 2], [0, 1, 3], [0, 2]], (1,), 3),
+    # the 5-cycle 0-2-4-3-5 with the chord 2-5, and vertex 1 on 0 and 3:
+    # removing 1 leaves vertex 4 its path 4-2-0 only, while 2 keeps 2-0 and
+    # 2-5-0 and 3 keeps 3-5-0 and 3-4-2-0
+    ("vertex", [[1, 2, 5], [0, 3], [0, 4, 5], [1, 4, 5], [2, 3], [0, 2, 3]], (1,), 4),
+])
+def test_two_robust_neighbours_clear_a_vertex_its_own_paths_do_not(mode, adj, base, v):
+    ws = _family_state(adj, mode)
+    L, x_end = base[-1], ws.ground
+    hits, risk, high, width, first, keys = ws.family
+    free = [keys[p] for p in range(first[v], first[v + 1]) if set(base).isdisjoint(keys[p])]
+    assert len(free) == 1 and any(L < x < x_end for x in free[0])
+    assert _assert_skip_is_sound(ws, base, L, x_end)
+
+
+@pytest.mark.parametrize("mode, adj, base, cut", [
+    # a neighbour reached over a key in the base: the 5-cycle 0-1-2-3-4
+    # with the chord 0-3 loses the edge 0-4 (id 2), so vertex 4 hangs on
+    # the bridge 3-4 (id 5), though both its neighbours are robust: vertex
+    # 0, and 3 with 3-0 and 3-2-1-0
+    ("edge", [[1, 3, 4], [0, 2], [1, 3], [0, 2, 4], [0, 3]], (2,), 5),
+    # only one robust neighbour: removing vertex 4 leaves the triangle
+    # 2-3-5 hanging on vertex 5.  Vertex 2 keeps its links to 3 and 5, and
+    # 5 keeps 5-0 and 5-1-0, but 3 keeps only 3-5-0
+    ("vertex", [[1, 4, 5], [0, 5], [3, 4, 5], [2, 5], [0, 2], [0, 1, 2, 3]], (4,), 5),
+])
+def test_a_vertex_with_fewer_than_two_robust_links_is_scanned(mode, adj, base, cut):
+    ws = _family_state(adj, mode)
+    L, x_end = base[-1], ws.ground
+    assert not _certified(ws, base, L, x_end)
+    assert _scan(ws, base) == (1, [cut])
 
 
 @lru_cache(maxsize=None)
 def _star_state(n, mode):
-    adj = StarGraph(n).adjacency_lists()
-    rows, ground, edges = _keyed_rows(adj, mode)
-    return _state(mode, rows, ground, _path_family(adj, rows, ground, mode, None))
+    return _family_state(StarGraph(n).adjacency_lists(), mode)
 
 
 @settings(max_examples=400, deadline=None)
@@ -245,7 +284,7 @@ def test_most_level_four_bases_of_s5_skip_their_scan(mode):
     rng = random.Random(0)
     bases = [tuple(sorted(rng.sample(range(ws.ground), 3))) for _ in range(2000)]
     skipped = sum(_assert_skip_is_sound(ws, b, b[-1], ws.ground) for b in bases)
-    assert skipped >= 0.8 * len(bases)
+    assert skipped >= 0.95 * len(bases)
 
 
 @settings(max_examples=200, deadline=None)
