@@ -19,7 +19,6 @@ from math import factorial
 
 from .core import (
     AUTO_MATERIALIZE_MAX_N,
-    CapacityError,
     InputError,
     StarGraph,
     _perms,
@@ -56,8 +55,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-EXPORT_MAX_N = 12  # materialization cap; beyond this the file would not fit anyway
 
 TABLE_HEADER = "n,k,formula,construction_ok,oracle_kind,oracle_value,agree"
 
@@ -133,9 +130,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_export(args) -> int:
-    n = args.n
-    if n > EXPORT_MAX_N:
-        raise CapacityError(f"export is limited to n <= {EXPORT_MAX_N}")
+    n = _walkable("export", args.n)
     g = StarGraph(n)
     compact = args.compact
     labels = [_vlabel(n, v, compact) for v in range(g.num_vertices)]

@@ -328,35 +328,31 @@ def _make_tasks(plan: _LevelPlan, workers: int, ks) -> list[tuple]:
 
 
 class _WorkerState:
-    """Per-process scratch space; rebuilt once per pool via the initializer.
+    """Scratch space for the scans of one search.  The subset walk keeps
+    its state in `_WS`, built before any worker forks, so workers inherit it.
 
     `rows[v]` holds (neighbour, removal key) pairs: the key is the neighbour
     itself in vertex mode and the edge id in edge mode, so one stamp array
     over keys marks removed vertices or removed edges alike.
     """
 
-    def __init__(self, payload):
-        self.vertex = payload["mode"] == "vertex"
-        self.deadline = payload["deadline"]
-        self.track_disconnectors = payload["track_disconnectors"]
-        self.rows = payload["rows"]
-        self.N = len(self.rows)
-        self.ground = payload["ground"]
-        self.rstamp = [0] * self.ground
+    def __init__(self, rows, ground, mode, deadline=None):
+        self.vertex = mode == "vertex"
+        self.deadline = deadline
+        self.track_disconnectors = False
+        self.rows = rows
+        self.N = len(rows)
+        self.ground = ground
+        self.rstamp = [0] * ground
         self.vstamp = [0] * self.N
         self.astamp = [0] * self.N
         self.disc = [0] * self.N
         self.low = [0] * self.N
         self.gen = 0
-        self.family = payload.get("family")  # see _path_family
+        self.family = None  # see _path_family
 
 
 _WS: _WorkerState | None = None
-
-
-def _init_worker(payload):
-    global _WS
-    _WS = _WorkerState(payload)
 
 
 def _keyed_rows(adj, mode):
@@ -743,13 +739,13 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     formula - 1, or when the budget runs out.  The ks still walking have
     seen the same sizes, so they share one node count and one budget, and
     each k's stats are those of a walk for it alone."""
+    global _WS
     rows, ground, edges = _keyed_rows(adj, mode)
-    payload = {"mode": mode, "rows": rows, "ground": ground,
-               "deadline": deadline, "track_disconnectors": False}
-    connected = _scan(_WorkerState(payload), ())[0] == 1
+    ws = _WS = _WorkerState(rows, ground, mode, deadline)
+    connected = _scan(ws, ())[0] == 1
     # a minimal disconnecting edge set is a bond only in a connected graph
     parity = mode == "edge" and connected and all(len(row) % 2 == 0 for row in rows)
-    payload["track_disconnectors"] = parity
+    ws.track_disconnectors = parity
     conn_lb = 1 if flow_bound is None else flow_bound
     arcs = sum(map(len, rows))
 
@@ -811,6 +807,7 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
             outcomes[i] = (True, None, None)
 
     pool = None
+    family_tried = False
     try:
         for s in itertools.count(conn_lb):
             for i, max_size in walking:
@@ -836,14 +833,13 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 if remaining is not None and len(cands) > remaining:
                     cands = cands[:remaining]
                     truncated = True
-                _init_worker(payload)
                 reach = 0
                 for j, cand in enumerate(cands):
                     if deadline is not None and (j & 255) == 0 \
                             and time.monotonic() > deadline:
                         truncated = True
                         break
-                    disconnected, mind = _check_removal(_WS, cand)
+                    disconnected, mind = _check_removal(ws, cand)
                     checked += 1
                     nodes += 1
                     if disconnected:
@@ -852,27 +848,26 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 plan = _plan_level(ground, s, remaining)
                 if plan.truncated:
                     truncated = True
-                if flow_bound is not None and pool is None and "family" not in payload \
+                if flow_bound is not None and pool is None and not family_tried \
                         and plan.bases_total >= arcs:
                     # one flow per vertex, with a breadth-first search (about
                     # a scan) per path it finds: roughly a scan per arc, so
                     # the family pays once a level plans a base per arc.  It
                     # costs what the max-flow bound cost, so it is built only
                     # where that bound was, and before any worker forks
-                    payload["family"] = _path_family(adj, rows, ground, mode, deadline)
+                    ws.family = _path_family(adj, rows, ground, mode, deadline)
+                    family_tried = True
                 tasks = _make_tasks(plan, workers, wks)
                 if workers > 1 and len(tasks) > 1:
                     if pool is None:
                         import multiprocessing
 
                         ctx = multiprocessing.get_context("fork")
-                        pool = ctx.Pool(workers, initializer=_init_worker,
-                                        initargs=(payload,))
+                        pool = ctx.Pool(workers)
                     # unordered, so a failing task raises at once; the fold
                     # below does not depend on the order
                     results = pool.imap_unordered(_run_task, tasks)
                 else:
-                    _init_worker(payload)
                     results = map(_run_task, tasks)
                 disc: list[tuple] = []
                 for t_nodes, t_checked, t_bests, t_disc, t_expired in results:
@@ -933,8 +928,7 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
     """
     N = len(adj)
     rows, ground, edges = _keyed_rows(adj, mode)
-    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground,
-                       "deadline": None, "track_disconnectors": False})
+    ws = _WorkerState(rows, ground, mode)
     # one added vertex shrinks a vertex boundary by at most 1 and an edge
     # boundary by at most its degree
     shrink = 1 if mode == "vertex" else max(map(len, adj))

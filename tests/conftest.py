@@ -3,16 +3,6 @@ import pytest
 from starcut import StarGraph
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--stretch-seconds",
-        type=float,
-        default=75.0,
-        help="wall budget per mode for the large n=5, k=1 search in the "
-        "acceptance suite (use 1800 for the full certification run)",
-    )
-
-
 @pytest.fixture(scope="session")
 def s3():
     return StarGraph(3)

@@ -284,8 +284,7 @@ def growth_search_reference(adj, k: int, mode: str, stats: SearchStats,
     """
     N = len(adj)
     rows, ground, edges = _keyed_rows(adj, mode)
-    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground,
-                       "deadline": None, "track_disconnectors": False})
+    ws = _WorkerState(rows, ground, mode)
     # one added vertex shrinks a vertex boundary by at most 1 and an edge
     # boundary by at most its degree
     shrink = 1 if mode == "vertex" else max(map(len, adj))

@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The large n=5, k=1 search
-honors a configurable wall budget (--stretch-seconds, default 75 per mode);
-within any budget it must never report a wrong exact value, and both modes
-must exhaust their class within the default one.
+runs under a wall budget of STRETCH_SECONDS per mode, and both modes must
+exhaust their class within it.
 """
 
 import contextlib
@@ -32,6 +31,8 @@ from starcut import (
     witness_position,
 )
 from starcut.cli import main
+
+STRETCH_SECONDS = 75.0  # wall budget per mode for the n=5, k=1 search
 
 
 @contextlib.contextmanager
@@ -68,20 +69,19 @@ def test_acceptance_1_exact_values_small_instances():
                 assert is_k_edge_cut(g, re.witness, k).valid
 
 
-def test_acceptance_2_stretch_search_s5_k1(request, s5):
-    seconds = request.config.getoption("--stretch-seconds")
+def test_acceptance_2_stretch_search_s5_k1(s5):
     workers = min(8, os.cpu_count() or 1)
     desc = (
-        f"n=5 k=1 search reports exact 6 within {seconds:.0f}s per mode on "
+        f"n=5 k=1 search reports exact 6 within {STRETCH_SECONDS:.0f}s per mode on "
         f"{workers} workers"
     )
     with criterion(2, desc):
-        budget = SearchBudget(max_wall_time=seconds)
+        budget = SearchBudget(max_wall_time=STRETCH_SECONDS)
         rv = exact_kappa_super(s5, 1, budget=budget, workers=workers)
         assert rv.kind == "exact", rv.kind
         assert rv.value == 6, rv
         assert is_k_vertex_cut(s5, rv.witness, 1).valid
-        budget = SearchBudget(max_wall_time=seconds)
+        budget = SearchBudget(max_wall_time=STRETCH_SECONDS)
         re = exact_lambda_super(s5, 1, budget=budget, workers=workers)
         assert re.kind == "exact", re.kind
         assert re.value == 6, re

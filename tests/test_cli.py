@@ -69,6 +69,17 @@ def test_export_capacity_error(capsys):
     assert code == 2
 
 
+def test_export_refuses_graphs_too_large_to_walk(capsys):
+    # export holds every label and output line before it writes; n = 9 is
+    # already 8.7 s and 376 MB
+    t0 = time.monotonic()
+    assert main(["export", "10"]) == 2
+    assert time.monotonic() - t0 < 5
+    assert capsys.readouterr().err == (
+        "error: export needs n <= 9: it walks every vertex of the "
+        "materialized graph, got n=10\n")
+
+
 def test_decompose_dimension(capsys):
     code, out = run_cli(capsys, "decompose", "4", "--by", "dimension:4",
                         "--format", "json")

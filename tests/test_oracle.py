@@ -287,11 +287,15 @@ def test_deadline_checked_inside_parity_loop(monkeypatch):
     assert stats.notes[-1] == "budget exhausted before the search class was decided"
 
 
-def test_wall_time_truncation(s5):
-    res = exact_lambda_super(s5, 1, budget=SearchBudget(max_wall_time=0.5))
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_wall_time_truncation(s5, mode):
+    # half a second of a walk that needs seconds (edge) to a minute (vertex)
+    search, judge = ((exact_kappa_super, is_k_vertex_cut) if mode == "vertex"
+                     else (exact_lambda_super, is_k_edge_cut))
+    res = search(s5, 1, budget=SearchBudget(max_wall_time=0.5))
     assert res.kind == "upper-bound-only"
     assert res.value == 6
-    assert is_k_edge_cut(s5, res.witness, 1).valid
+    assert judge(s5, res.witness, 1).valid
 
 
 def test_growth_truncation(s5):

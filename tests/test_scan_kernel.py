@@ -88,9 +88,9 @@ def removal_cases(draw):
 
 
 def _state(mode, rows, ground, family=None):
-    return _WorkerState({"mode": mode, "rows": rows, "ground": ground,
-                         "deadline": None, "track_disconnectors": False,
-                         "family": family})
+    ws = _WorkerState(rows, ground, mode)
+    ws.family = family
+    return ws
 
 
 def _verdict(ws, removal, k):

@@ -25,8 +25,7 @@ def _public(g, mode, removal, edges, k):
 
 def _kernel(g, mode, removal, k):
     rows, ground, _ = _keyed_rows(g.adjacency_lists(), mode)
-    ws = _WorkerState({"mode": mode, "rows": rows, "ground": ground,
-                       "deadline": None, "track_disconnectors": False})
+    ws = _WorkerState(rows, ground, mode)
     disconnected, mind = _check_removal(ws, removal)
     return disconnected, disconnected and mind >= k
 
