@@ -5,9 +5,10 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
 * subset enumeration walks removal sets in ascending size below the
   constructive bound.  Sets of size s are decided through their size s-1
   prefix: one articulation-point (or bridge) scan of the partially removed
-  graph classifies every extension at once, and disjoint paths to vertex 0
-  skip the scans they prove would find nothing.  Sizes below the classical
-  connectivity are pruned wholesale, since such removals cannot disconnect.
+  graph classifies every extension at once, and disjoint paths to a sink
+  vertex skip the scans they prove would find nothing.  Sizes below the
+  classical connectivity are pruned wholesale, since such removals cannot
+  disconnect.
   Odd edge sizes go by boundary parity if the graph is connected and every
   degree is even.  A connected graph has no cut when k >= 1 and k is at
   least its largest degree, which is settled before any size.
@@ -16,11 +17,11 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
   lower bound holds only on a connected graph.
 
 Both read only a plain adjacency list and judge candidates with one removal
-check; `_oracle` alone knows the graph is a star and passes in the formula
-and max-flow connectivity.  Each strategy reports only what it proved; one
-rule in `_oracle` labels the result.  It is exact only together with a
-statement of what was exhausted; anything truncated by budget is an upper
-bound.
+check; `_oracle` alone knows the graph is a star and passes in the formula,
+the max-flow connectivity and the automorphisms that build the paths.  Each
+strategy reports only what it proved; one rule in `_oracle` labels the
+result.  It is exact only together with a statement of what was exhausted;
+anything truncated by budget is an upper bound.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ from .cuts import (
     is_k_edge_cut,
     is_k_vertex_cut,
     substar_isolating_cut,
+)
+from .symmetry import (
+    check_automorphisms,
+    orbits,
+    stabilizer_orbit_representatives,
+    star_maps,
 )
 
 # Max-flow prefilters and in-table searches are only attempted while the
@@ -198,41 +205,14 @@ def _max_flow_unit(heads, to, cap, source, sink, limit):
 _CLASSICAL_CACHE: dict[int, tuple[int, int]] = {}
 
 
-def _stabilizer_orbit_representatives(n: int) -> list[int]:
-    """Smallest rank of each orbit of the identity's stabilizer, bar the identity.
-
-    p and q lie in one orbit exactly when they share the cycle type and the
-    length of the cycle through symbol 0, so that pair keys the orbit.
-    Lexicographic order is rank order, so the first permutation met with a
-    key has its smallest rank.
-    """
-    reps: dict[tuple, int] = {}
-    for r, p in enumerate(itertools.permutations(range(n))):
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length:
-                lengths.append(length)
-        reps.setdefault((tuple(sorted(lengths)), lengths[0]), r)
-    return sorted(reps.values())[1:]
-
-
 def classical_connectivity(g: StarGraph) -> tuple[int, int]:
     """Exact (vertex, edge) connectivity by counting disjoint paths.
 
     The source is the identity (rank 0), since the graph is vertex
-    transitive.  For sigma with sigma(0) = 0, p -> sigma p sigma^-1 sends
-    p (0 i) to its image times (0 sigma(i)): an automorphism fixing the
-    identity, and these (n-1)! maps make up its whole stabilizer.  An
-    automorphism fixing the source keeps every flow value from it, so one
-    target per stabilizer orbit stands in for the whole orbit (S6 takes 35
-    flow runs, not 1,429).  The neighbors (0 i) form one orbit, whose
+    transitive.  An automorphism fixing the source keeps every flow value
+    from it, so one target per orbit of the source's stabilizer (see
+    symmetry.star_maps) stands in for the whole orbit (S6 takes 35 flow
+    runs, not 1,429).  The neighbors (0 i) form one orbit, whose
     smallest rank stands in for every adjacent pair in the edge
     computation.  With no non-neighbors at all the graph is complete and
     the vertex connectivity is |V| - 1 by convention.
@@ -246,7 +226,7 @@ def classical_connectivity(g: StarGraph) -> tuple[int, int]:
     V = g.num_vertices
     s = 0
     nbrs = set(adj[s])
-    non_nbrs = [t for t in _stabilizer_orbit_representatives(g.n) if t not in nbrs]
+    non_nbrs = [t for t in stabilizer_orbit_representatives(adj) if t not in nbrs]
 
     if not non_nbrs:
         kappa = V - 1
@@ -349,7 +329,7 @@ class _WorkerState:
         self.disc = [0] * self.N
         self.low = [0] * self.N
         self.gen = 0
-        self.family = None  # see _path_family
+        self.families = None  # see _path_family
 
 
 _WS: _WorkerState | None = None
@@ -373,49 +353,61 @@ def _keyed_rows(adj, mode):
     return rows, ground, [(u, w) for u, upper in enumerate(ids) for w in upper]
 
 
-def _path_family(adj, rows, ground, mode, deadline):
-    """Disjoint paths from every vertex v != 0 to vertex 0, indexed by key.
+def _path_family(adj, rows, ground, mode, deadline, maps=None):
+    """Disjoint paths from every vertex to a sink, indexed by key.
 
     A maximum set of internally vertex-disjoint paths (vertex mode) or
-    edge-disjoint walks (edge mode) for each vertex, read off one unit max
-    flow each (Menger).  Returns (hits, risk, high, width, first, keys).
-    The paths of v have the ids first[v] to first[v + 1] - 1, and path p
-    holds the removal keys keys[p]: its inner vertices, or its edge ids.
-    The other four count, for every vertex in one integer sum, the keys of
-    a removal that lie on its paths.  Vertex v owns the `width`-bit lane at
-    bit v * width; hits[key] has a 1 in the lane of every vertex with a
-    path through key.  Summed over the removal and added to `risk`, a lane
-    reaches its top bit (`high`) exactly when at least all but one of that
-    vertex's paths hold a removed key; lanes are wide enough that no sum
-    carries into the next.  Returns None when some vertex has fewer than
-    two paths, or when the deadline passes first.
+    edge-disjoint walks (edge mode) from each vertex v != 0 to vertex 0,
+    read off one unit max flow (Menger).  `maps` (see symmetry.star_maps)
+    holds automorphisms of the graph: generators of vertex 0's stabilizer,
+    and a map that moves vertex 0.  A map that fixes vertex 0 carries a
+    maximum family of v to one of its image, so a flow runs only for the
+    smallest vertex of each orbit (11 on S5, not 119), and every other
+    member takes the paths of the member it was reached from, mapped (edge
+    ids through their end vertices).  With no maps every vertex is its own
+    orbit.  In vertex mode the moving map then carries the whole family to
+    one whose sink is its image of vertex 0, with no flow at all: a second
+    sink for the bases that remove vertex 0.
+
+    Returns a list of families, or None when some vertex has fewer than
+    two paths, or when the deadline passes first.  A family is (sink, hits,
+    risk, high, width, first, keys).  The paths of v have the ids first[v]
+    to first[v + 1] - 1, and path p holds the removal keys keys[p]: its
+    inner vertices, or its edge ids.  The other four count, for every
+    vertex in one integer sum, the keys of a removal that lie on its paths.
+    Vertex v owns the `width`-bit lane at bit v * width; hits[key] has a 1
+    in the lane of every vertex with a path through key.  Summed over the
+    removal and added to `risk`, a lane reaches its top bit (`high`)
+    exactly when at least all but one of that vertex's paths hold a
+    removed key; lanes are wide enough that no sum carries into the next.
     """
     N = len(rows)
     vertex = mode == "vertex"
+    gens, move = maps if maps is not None else ([], None)
     if vertex:
         # source: the out-half 2v+1; sink: the in-half of vertex 0
         heads, to, cap0 = _vertex_split_network(adj)
+        keymaps = gens
     else:
         heads, to, cap0 = _edge_network(adj)
         # _edge_network adds one arc pair per row entry w > u, in row order
         ekey = [key for u, row in enumerate(rows) for w, key in row if w > u]
-    width = max(ground, N).bit_length() + 1
-    half = 1 << (width - 1)
-    hits = [0] * ground
-    risk = high = 0
-    first = [0, 0]
-    keys: list[tuple] = []
-    for v in range(1, N):
+        arc_key = {(u, w): key for u, row in enumerate(rows) for w, key in row}
+        ends = [None] * ground
+        for (u, w), key in arc_key.items():
+            ends[key] = (u, w)
+        keymaps = [[arc_key[f[u], f[w]] for u, w in ends] for f in gens]
+    paths: list[tuple] = [()] * N
+    for rep, steps in orbits(N, gens):
+        if rep == 0:
+            continue
         if deadline is not None and time.monotonic() > deadline:
             return None
         cap = cap0.copy()
-        source = 2 * v + 1 if vertex else v
-        npaths = _max_flow_unit(heads, to, cap, source, 0, len(rows[v]))
-        if npaths < 2:
+        source = 2 * rep + 1 if vertex else rep
+        if _max_flow_unit(heads, to, cap, source, 0, len(rows[rep])) < 2:
             return None
-        lane = 1 << (v * width)
-        risk |= (half - npaths + 1) * lane
-        high |= half * lane
+        found = []
         # an arc carries flow when its capacity is spent; following one
         # restores it, so no walk takes an arc twice
         for a in heads[source]:
@@ -436,38 +428,73 @@ def _path_family(adj, rows, ground, mode, deadline):
                     if u == 0:
                         break
                 b = next(c for c in heads[u] if cap0[c] and not cap[c])
-            for key in path:
-                hits[key] |= lane
-            keys.append(tuple(path))
+            found.append(tuple(path))
+        paths[rep] = tuple(found)
+        for u, w, j in steps:
+            km = keymaps[j]
+            paths[u] = tuple(tuple(map(km.__getitem__, path)) for path in paths[w])
+    width = max(ground, N).bit_length() + 1
+    families = [_lanes(0, paths, ground, width)]
+    if vertex and move is not None:
+        back = [0] * N
+        for v, image in enumerate(move):
+            back[image] = v
+        moved = [tuple(tuple(map(move.__getitem__, path)) for path in paths[back[u]])
+                 for u in range(N)]
+        families.append(_lanes(move[0], moved, ground, width))
+    return families
+
+
+def _lanes(sink, paths, ground, width):
+    """The family (see _path_family) of the paths of each vertex to `sink`."""
+    half = 1 << (width - 1)
+    hits = [0] * ground
+    risk = high = 0
+    first = [0]
+    keys: list[tuple] = []
+    for v, vpaths in enumerate(paths):
+        if v != sink:
+            lane = 1 << (v * width)
+            risk |= (half - len(vpaths) + 1) * lane
+            high |= half * lane
+            for path in vpaths:
+                for key in path:
+                    hits[key] |= lane
+            keys.extend(vpaths)
         first.append(len(keys))
-    return hits, risk, high, width, first, keys
+    return sink, hits, risk, high, width, first, keys
 
 
 def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
-    """Whether the path family proves that the scan of `base` finds one
+    """Whether a path family proves that the scan of `base` finds one
     component and no critical key in (L, x_end), so the base decides its
     extensions with no check.
 
     The paths of a vertex are disjoint, so a key lies on at most one of
-    them.  A vertex that keeps one of its paths reaches vertex 0, and one
+    them.  A vertex that keeps one of its paths reaches the sink, and one
     that keeps two reaches it after any one more key; a vertex that keeps
     a single path reaches it after any key off that path.  Only vertices
     with at most one path free of the base's keys need a look, and the
     lane sum finds every such vertex, and perhaps a few more.
 
     A vertex that its own paths do not clear is cleared through two of its
-    links whose keys are not in the base, each to vertex 0 or to a
+    links whose keys are not in the base, each to the sink or to a
     neighbour that keeps two paths free of the base (its lane bit clear,
     or a count of its paths).  One more key is one vertex or one edge: it
     cuts at most one of the two links, and it lies on at most one of the
-    other neighbour's paths, so the vertex still reaches vertex 0 through
-    that neighbour.  The family proves nothing in vertex mode once vertex
-    0 is removed or may be, and the fewer-than-two-survivors convention is
-    left to the scan.
+    other neighbour's paths, so the vertex still reaches the sink through
+    that neighbour.  In vertex mode the sink must survive, so the first
+    family whose sink is neither in the base nor among its extensions is
+    used, and a base that may remove every sink is scanned.  The
+    fewer-than-two-survivors convention is left to the scan.
     """
-    hits, risk, high, width, first, keys = ws.family
     vertex = ws.vertex
-    if vertex and (L < 0 < x_end or (base and base[0] == 0) or ws.N - len(base) < 3):
+    if vertex and ws.N - len(base) < 3:
+        return False
+    for sink, hits, risk, high, width, first, keys in ws.families:
+        if not (vertex and (sink in base or L < sink < x_end)):
+            break
+    else:
         return False
     mask = sum(map(hits.__getitem__, base), risk) & high
     if not mask:
@@ -487,7 +514,7 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
         for w, key in ws.rows[v]:
             if key in removed:
                 continue
-            if (w == 0 or not mask >> ((w + 1) * width - 1) & 1
+            if (w == sink or not mask >> ((w + 1) * width - 1) & 1
                     or sum(removed.isdisjoint(keys[p])
                            for p in range(first[w], first[w + 1])) > 1):
                 robust += 1
@@ -645,7 +672,7 @@ def _run_task(task):
         if deadline is not None and (it & 255) == 0 and time.monotonic() > deadline:
             expired = True
             break
-        if ws.family is not None and _certified(ws, base, L, x_end):
+        if ws.families is not None and _certified(ws, base, L, x_end):
             nodes += x_end - 1 - L
             continue
         ncomp, critical = _scan(ws, base)
@@ -725,11 +752,13 @@ def _construction_witness(g: StarGraph, k: int, mode: str, formula):
 
 def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                    max_nodes: int | None, deadline: float | None, workers: int,
-                   formulas: list, flow_bound: int | None):
+                   formulas: list, flow_bound: int | None, maps=None):
     """Walk removal sets in ascending size for every k of the ascending
     `ks` at once, from the max-flow connectivity `flow_bound` (or 1) to
     below each k's formula; see _oracle.  `stats` and `formulas` run
-    parallel to `ks`, and so does the returned list of outcomes.
+    parallel to `ks`, and so does the returned list of outcomes.  `maps`
+    are automorphisms for the path family (see _path_family), checked
+    against `adj` first.
 
     The scans, and the candidates they yield, do not depend on k: a
     disconnecting removal is valid for k exactly when its smallest
@@ -740,6 +769,8 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     seen the same sizes, so they share one node count and one budget, and
     each k's stats are those of a walk for it alone."""
     global _WS
+    if maps is not None:
+        check_automorphisms(adj, maps[0] + [maps[1]])
     rows, ground, edges = _keyed_rows(adj, mode)
     ws = _WS = _WorkerState(rows, ground, mode, deadline)
     connected = _scan(ws, ())[0] == 1
@@ -850,12 +881,14 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                     truncated = True
                 if flow_bound is not None and pool is None and not family_tried \
                         and plan.bases_total >= arcs:
-                    # one flow per vertex, with a breadth-first search (about
-                    # a scan) per path it finds: roughly a scan per arc, so
-                    # the family pays once a level plans a base per arc.  It
-                    # costs what the max-flow bound cost, so it is built only
-                    # where that bound was, and before any worker forks
-                    ws.family = _path_family(adj, rows, ground, mode, deadline)
+                    # one flow per orbit (per vertex with no maps), with a
+                    # breadth-first search (about a scan) per path it finds,
+                    # and the paths mapped to the rest of each orbit: about
+                    # 44 scans on S5, and at most about a scan per arc, so a
+                    # level that plans a base per arc repays it.  It costs
+                    # what the max-flow bound cost, so it is built only where
+                    # that bound was, and before any worker forks
+                    ws.families = _path_family(adj, rows, ground, mode, deadline, maps)
                     family_tried = True
                 tasks = _make_tasks(plan, workers, wks)
                 if workers > 1 and len(tasks) > 1:
@@ -1091,14 +1124,15 @@ def _oracle(g: StarGraph, ks, mode: str, budget: SearchBudget | None,
         outcomes = [_growth_search(adj, k, mode, st, budget.max_nodes, deadline)
                     for k, st in zip(ks, stats)]
     else:
-        flow_bound = None
+        flow_bound = maps = None
         if g.n <= _FLOW_PREFILTER_MAX_N:
             kappa, lam = classical_connectivity(g)
             flow_bound = kappa if mode == "vertex" else lam
+            maps = star_maps(adj)
         stats = [SearchStats(strategy="subset-enumeration", workers=workers, seed=seed)
                  for _ in ks]
         outcomes = _subset_search(adj, ks, mode, stats, budget.max_nodes, deadline,
-                                  workers, formulas, flow_bound)
+                                  workers, formulas, flow_bound, maps)
     wall_time = time.monotonic() - t0
     results = []
     for k, formula, construction, st, (proved, value, witness) in zip(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starcut import oracle
+from starcut import oracle, symmetry
 from starcut import (
     InputError,
     InvariantViolationError,
@@ -87,9 +87,36 @@ def test_stabilizer_orbits_are_keyed_by_cycle_type(n):
         orbits.setdefault(uf.find(v), set()).add(v)
         by_key.setdefault(_orbit_key(g.perm(v)), set()).add(v)
     assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, by_key.values()))
-    assert oracle._stabilizer_orbit_representatives(n) == sorted(
+    assert symmetry.stabilizer_orbit_representatives(adj) == sorted(
         min(orbit) for orbit in orbits.values() if 0 not in orbit
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generator_orbits_equal_the_whole_stabilizer_orbits(n):
+    # the two conjugations that star_maps reads off the adjacency generate
+    # the same orbits as all (n-1)! of them, listed by brute force
+    adj = StarGraph(n).adjacency_lists()
+    uf = UnionFind(len(adj))
+    for phi in _conjugations(n):
+        for v in range(len(adj)):
+            uf.union(v, phi[v])
+    brute = {}
+    for v in range(len(adj)):
+        brute.setdefault(uf.find(v), []).append(v)
+    gens, move = symmetry.star_maps(adj)
+    built = []
+    for rep, steps in symmetry.orbits(len(adj), gens):
+        members = [rep] + [u for u, _, _ in steps]
+        assert rep == min(members)
+        for u, w, j in steps:
+            assert gens[j][w] == u
+        built.append(sorted(members))
+    assert built == sorted(brute.values())
+    # the relabelling sends vertex 0 to vertex 1, and every map is an
+    # automorphism
+    assert move[0] == 1
+    symmetry.check_automorphisms(adj, gens + [move])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

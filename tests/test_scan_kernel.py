@@ -3,9 +3,10 @@
 The scan and the removal check take plain (neighbour, removal key) rows, so
 they are compared here against networkx on graphs far from star graphs:
 trees, cycles, complete graphs and random graphs, glued into graphs with
-bridges, cut vertices or several components.  The path family that lets a
-base skip its scan is held to the scan on 2-connected random graphs and on
-star graphs, and whole searches with and without it must agree.
+bridges, cut vertices or several components.  The path families that let a
+base skip its scan are held to the scan on 2-connected random graphs and on
+star graphs, where they are built by symmetry, and whole searches with and
+without them must agree.
 """
 
 import random
@@ -15,16 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starcut import SearchBudget, StarGraph
+from starcut import InvariantViolationError, SearchBudget, StarGraph
 from starcut import oracle
 from starcut.oracle import (
+    SearchStats,
     _WorkerState,
     _certified,
     _check_removal,
     _keyed_rows,
     _path_family,
     _scan,
+    _subset_search,
 )
+from starcut.symmetry import star_maps
 
 nx = pytest.importorskip("networkx")
 
@@ -87,9 +91,9 @@ def removal_cases(draw):
     return adj, mode, rows, ground, edges, removal, k
 
 
-def _state(mode, rows, ground, family=None):
+def _state(mode, rows, ground, families=None):
     ws = _WorkerState(rows, ground, mode)
-    ws.family = family
+    ws.families = families
     return ws
 
 
@@ -188,11 +192,12 @@ def two_path_graphs(draw):
     return [sorted(row) for row in adj]
 
 
-def _extension_span(draw, ground):
+def _extension_span(draw, ground, held=()):
     """A base as _run_task meets it: sorted, L its largest key (-1 when
-    empty), deciding the extensions x with L < x < x_end."""
-    base = tuple(sorted(draw(st.lists(st.integers(0, ground - 1), unique=True,
-                                      max_size=6))))
+    empty), deciding the extensions x with L < x < x_end.  The base holds
+    the keys `held`."""
+    base = tuple(sorted(set(held).union(draw(st.lists(st.integers(0, ground - 1),
+                                                      unique=True, max_size=6)))))
     L = base[-1] if base else -1
     return base, L, draw(st.integers(L + 1, ground))
 
@@ -210,16 +215,16 @@ def _assert_skip_is_sound(ws, base, L, x_end):
     return False
 
 
-def _family_state(adj, mode):
+def _family_state(adj, mode, maps=None):
     rows, ground, edges = _keyed_rows(adj, mode)
-    return _state(mode, rows, ground, _path_family(adj, rows, ground, mode, None))
+    return _state(mode, rows, ground, _path_family(adj, rows, ground, mode, None, maps))
 
 
 @settings(max_examples=600, deadline=None)
 @given(two_path_graphs(), st.sampled_from(["vertex", "edge"]), st.data())
 def test_skip_is_sound_on_graphs_with_two_paths_to_vertex_0(adj, mode, data):
     ws = _family_state(adj, mode)
-    assert ws.family is not None
+    assert len(ws.families) == 1
     for _ in range(8):
         _assert_skip_is_sound(ws, *_extension_span(data.draw, ws.ground))
 
@@ -238,7 +243,7 @@ def test_skip_is_sound_on_graphs_with_two_paths_to_vertex_0(adj, mode, data):
 def test_two_robust_neighbours_clear_a_vertex_its_own_paths_do_not(mode, adj, base, v):
     ws = _family_state(adj, mode)
     L, x_end = base[-1], ws.ground
-    hits, risk, high, width, first, keys = ws.family
+    sink, hits, risk, high, width, first, keys = ws.families[0]
     free = [keys[p] for p in range(first[v], first[v + 1]) if set(base).isdisjoint(keys[p])]
     assert len(free) == 1 and any(L < x < x_end for x in free[0])
     assert _assert_skip_is_sound(ws, base, L, x_end)
@@ -264,16 +269,25 @@ def test_a_vertex_with_fewer_than_two_robust_links_is_scanned(mode, adj, base, c
 
 @lru_cache(maxsize=None)
 def _star_state(n, mode):
-    return _family_state(StarGraph(n).adjacency_lists(), mode)
+    # the families the subset walk builds: by orbits, and in vertex mode
+    # with a second sink
+    adj = StarGraph(n).adjacency_lists()
+    return _family_state(adj, mode, star_maps(adj))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from([3, 4, 5]), st.sampled_from(["vertex", "edge"]), st.data())
-def test_skip_is_sound_on_star_graphs(n, mode, data):
-    ws = _star_state(n, mode)
-    assert ws.family is not None
+@given(st.sampled_from([3, 4, 5]), st.sampled_from(["vertex", "edge", "second sink"]),
+       st.booleans(), st.data())
+def test_skip_is_sound_on_star_graphs(n, mode, hold_0, data):
+    # "second sink" is vertex mode with the second family alone; a base that
+    # holds key 0 sends vertex mode to the second family
+    ws = _star_state(n, "vertex" if mode == "second sink" else mode)
+    assert len(ws.families) == (1 if mode == "edge" else 2)
+    if mode == "second sink":
+        ws = _state("vertex", ws.rows, ws.ground, ws.families[1:])
+    held = (0,) if hold_0 else ()
     for _ in range(8):
-        _assert_skip_is_sound(ws, *_extension_span(data.draw, ws.ground))
+        _assert_skip_is_sound(ws, *_extension_span(data.draw, ws.ground, held))
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])
@@ -287,34 +301,116 @@ def test_most_level_four_bases_of_s5_skip_their_scan(mode):
     assert skipped >= 0.95 * len(bases)
 
 
-@settings(max_examples=200, deadline=None)
-@given(two_path_graphs(), st.sampled_from(["vertex", "edge"]))
-def test_path_family_holds_maximum_disjoint_paths_to_vertex_0(adj, mode):
-    # each vertex gets as many paths as networkx counts, pairwise disjoint
-    # in their keys, and each path's keys join the vertex to vertex 0
+def test_level_four_bases_that_remove_vertex_0_skip_by_the_second_sink():
+    # vertex 0, the first family's sink, is in every one of these bases
+    ws = _star_state(5, "vertex")
+    rng = random.Random(0)
+    bases = [(0, *sorted(rng.sample(range(2, ws.ground), 2))) for _ in range(2000)]
+    skipped = sum(_assert_skip_is_sound(ws, b, b[-1], ws.ground) for b in bases)
+    assert skipped >= 0.95 * len(bases)
+    # a base that holds both sinks, or whose extensions may remove the
+    # second, is scanned
+    for base in [(0, 1, x) for x in range(2, ws.ground)]:
+        assert not _certified(ws, base, base[-1], ws.ground)
+    assert not _certified(ws, (0,), 0, ws.ground)
+
+
+def _assert_maximum_disjoint_paths(adj, mode, family):
+    """Each vertex but the sink gets as many paths as networkx counts,
+    pairwise disjoint in their keys, and each path's keys join the vertex
+    to the sink."""
     from networkx.algorithms.connectivity import (
+        build_auxiliary_edge_connectivity,
+        build_auxiliary_node_connectivity,
         local_edge_connectivity,
         local_node_connectivity,
     )
+    from networkx.algorithms.flow import build_residual_network
 
+    sink, hits, risk, high, width, first, keys = family
     rows, ground, edges = _keyed_rows(adj, mode)
-    hits, risk, high, width, first, keys = _path_family(adj, rows, ground, mode, None)
     g = _reduced(adj, mode, edges, [])
-    count = local_node_connectivity if mode == "vertex" else local_edge_connectivity
-    for v in range(1, len(adj)):
+    if mode == "vertex":
+        count, aux = local_node_connectivity, build_auxiliary_node_connectivity(g)
+    else:
+        count, aux = local_edge_connectivity, build_auxiliary_edge_connectivity(g)
+    residual = build_residual_network(aux, "capacity")
+    for v in range(len(adj)):
         paths = keys[first[v]:first[v + 1]]
-        assert len(paths) == count(g, v, 0)
+        if v == sink:
+            assert paths == []
+            continue
+        assert len(paths) == count(g, v, sink, auxiliary=aux, residual=residual)
         held = [key for path in paths for key in path]
         assert len(held) == len(set(held))
-        for p, path in enumerate(paths, first[v]):
+        for path in paths:
             if mode == "vertex":
-                assert v not in path and 0 not in path
-                h = g.subgraph({v, 0, *path})
+                assert v not in path and sink not in path
+                h = g.subgraph({v, sink, *path})
             else:
                 h = nx.Graph(edges[e] for e in path)
-            assert h.has_node(v) and h.has_node(0) and nx.has_path(h, v, 0)
+            assert h.has_node(v) and h.has_node(sink) and nx.has_path(h, v, sink)
             for key in path:
                 assert hits[key] >> (v * width) & 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_path_graphs(), st.sampled_from(["vertex", "edge"]))
+def test_path_family_holds_maximum_disjoint_paths_to_vertex_0(adj, mode):
+    rows, ground, edges = _keyed_rows(adj, mode)
+    family, = _path_family(adj, rows, ground, mode, None)
+    assert family[0] == 0
+    _assert_maximum_disjoint_paths(adj, mode, family)
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_orbit_built_families_hold_maximum_disjoint_paths_to_each_sink(n, mode):
+    ws = _star_state(n, mode)
+    assert [family[0] for family in ws.families] == ([0, 1] if mode == "vertex" else [0])
+    for family in ws.families:
+        _assert_maximum_disjoint_paths(StarGraph(n).adjacency_lists(), mode, family)
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_path_family_runs_one_flow_per_orbit(monkeypatch, mode):
+    # S5 has 11 orbits besides vertex 0 under its stabilizer; the second
+    # sink's family is mapped, not flowed
+    runs = []
+    real = oracle._max_flow_unit
+    monkeypatch.setattr(oracle, "_max_flow_unit", lambda *a: runs.append(a[3]) or real(*a))
+    adj = StarGraph(5).adjacency_lists()
+    rows, ground, edges = _keyed_rows(adj, mode)
+    _path_family(adj, rows, ground, mode, None, star_maps(adj))
+    assert len(runs) == 11
+    runs.clear()
+    _path_family(adj, rows, ground, mode, None)
+    assert len(runs) == 119
+
+
+@pytest.mark.parametrize("broken", [0, 1, 2])
+@pytest.mark.parametrize("how", ["slots", "images"])
+def test_a_map_that_is_not_an_automorphism_stops_the_walk(broken, how):
+    # star_maps reads each map off the slot order of the rows.  With two
+    # slots of one row swapped the graph is the same, but the maps read off
+    # it are no longer bijections.  Swapping two images of a map keeps a
+    # bijection that breaks arcs.  The walk must refuse either
+    adj = StarGraph(4).adjacency_lists()
+    gens, move = star_maps(adj)
+    maps = [*gens, move]
+    if how == "slots":
+        swapped = [list(row) for row in adj]
+        swapped[5][:2] = swapped[5][1::-1]
+        bad_gens, bad_move = star_maps(swapped)
+        maps[broken] = [*bad_gens, bad_move][broken]
+    else:
+        f = maps[broken] = maps[broken].copy()
+        f[5], f[6] = f[6], f[5]
+    assert maps[broken] != [*gens, move][broken]
+    stats = [SearchStats(strategy="subset-enumeration", workers=1)]
+    with pytest.raises(InvariantViolationError):
+        _subset_search(adj, [1], "vertex", stats, None, None, 1, [4], 3,
+                       (maps[:2], maps[2]))
 
 
 @pytest.mark.parametrize("mode, adj", [
