@@ -6,9 +6,9 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
   constructive bound.  Sets of size s are decided through their size s-1
   prefix: one articulation-point (or bridge) scan of the partially removed
   graph classifies every extension at once, and disjoint paths to a sink
-  vertex skip the scans they prove would find nothing.  Sizes below the
-  classical connectivity are pruned wholesale, since such removals cannot
-  disconnect.
+  vertex skip the scans they prove would find nothing.  The max flows that
+  find those paths also give the connectivity, and sizes below it are
+  pruned wholesale, since such removals cannot disconnect.
   Odd edge sizes go by boundary parity if the graph is connected and every
   degree is even.  A connected graph has no cut when k >= 1 and k is at
   least its largest degree, which is settled before any size.
@@ -17,18 +17,18 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
   lower bound holds only on a connected graph.
 
 Both read only a plain adjacency list and judge candidates with one removal
-check; `_oracle` alone knows the graph is a star and passes in the formula,
-the max-flow connectivity and the automorphisms that build the paths.  Each
-strategy reports only what it proved; one rule in `_oracle` labels the
-result.  It is exact only together with a statement of what was exhausted;
-anything truncated by budget is an upper bound.
+check; `_oracle` alone knows the graph is a star and passes in the formula
+and the automorphisms that build the paths, whose flow counts give the
+connectivity of a vertex-transitive graph.  Each strategy reports only what
+it proved; one rule in `_oracle` labels the result.  It is exact only
+together with a statement of what was exhausted; anything truncated by
+budget is an upper bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from math import comb, inf
 
@@ -46,12 +46,11 @@ from .cuts import (
 from .symmetry import (
     check_automorphisms,
     orbits,
-    stabilizer_orbit_representatives,
     star_maps,
 )
 
-# Max-flow prefilters and in-table searches are only attempted while the
-# graph is small enough for them to finish in seconds.
+# The path family with its max-flow bound, and in-table searches, are only
+# attempted while the graph is small enough for them to finish in seconds.
 _FLOW_PREFILTER_MAX_N = 5
 _TABLE_SEARCH_MAX_N = 5
 _PARITY_SUPERSET_CAP = 2_000_000
@@ -71,7 +70,7 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise InputError("max_nodes must be positive")
-        if self.max_wall_time is not None and self.max_wall_time <= 0:
+        if self.max_wall_time is not None and not self.max_wall_time > 0:
             raise InputError("max_wall_time must be positive")
         if self.strategy not in _STRATEGIES:
             raise InputError(f"strategy must be one of {_STRATEGIES}")
@@ -176,20 +175,18 @@ def _max_flow_unit(heads, to, cap, source, sink, limit):
     while flow < limit:
         parent = [-1] * V
         parent[source] = -2
-        queue = deque([source])
-        reached = False
-        while queue and not reached:
-            u = queue.popleft()
+        # breadth-first: the list grows while it is read
+        queue = [source]
+        for u in queue:
             for a in heads[u]:
                 if cap[a]:
                     w = to[a]
                     if parent[w] == -1:
                         parent[w] = a
-                        if w == sink:
-                            reached = True
-                            break
                         queue.append(w)
-        if not reached:
+            if parent[sink] != -1:
+                break
+        else:
             break
         v = sink
         while v != source:
@@ -201,52 +198,92 @@ def _max_flow_unit(heads, to, cap, source, sink, limit):
     return flow
 
 
-# Star graphs of equal dimension are identical, so results cache by n.
-_CLASSICAL_CACHE: dict[int, tuple[int, int]] = {}
+def _orbit_paths(adj, rows, mode, gens, skip=()):
+    """Disjoint paths to vertex 0 from one vertex of each orbit, by max flow.
+
+    The orbits are those of the group the maps `gens` generate (see
+    symmetry.orbits); with no maps every vertex is its own orbit.  For each
+    orbit but vertex 0's and those whose smallest vertex is in `skip`, one
+    unit max flow (Menger) from its smallest vertex, rep, to vertex 0 yields
+    a maximum set of internally vertex-disjoint paths (vertex mode) or
+    edge-disjoint walks (edge mode).  Returns (rep, steps, paths) per orbit,
+    with `steps` as symmetry.orbits gives them and each path as its removal
+    keys in `rows`: its inner vertices, or its edge ids.
+    """
+    vertex = mode == "vertex"
+    if vertex:
+        # source: the out-half 2v+1; sink: the in-half of vertex 0
+        heads, to, cap0 = _vertex_split_network(adj)
+    else:
+        heads, to, cap0 = _edge_network(adj)
+        # _edge_network adds one arc pair per row entry w > u, in row order
+        ekey = [key for u, row in enumerate(rows) for w, key in row if w > u]
+    flows = []
+    for rep, steps in orbits(len(adj), gens):
+        if rep == 0 or rep in skip:
+            continue
+        cap = cap0.copy()
+        source = 2 * rep + 1 if vertex else rep
+        _max_flow_unit(heads, to, cap, source, 0, len(rows[rep]))
+        paths = []
+        # an arc carries flow when its capacity is spent; following one
+        # restores it, so no walk takes an arc twice
+        for a in heads[source]:
+            if cap[a] or not cap0[a]:
+                continue
+            path = []
+            b = a
+            while True:
+                cap[b] = 1
+                u = to[b]
+                if vertex:
+                    if u == 0:
+                        break
+                    path.append(u >> 1)
+                    u += 1
+                else:
+                    path.append(ekey[b >> 1])
+                    if u == 0:
+                        break
+                b = next(c for c in heads[u] if cap0[c] and not cap[c])
+            paths.append(tuple(path))
+        flows.append((rep, steps, tuple(paths)))
+    return flows
+
+
+def _connectivity(adj, mode, flows):
+    """The vertex or edge connectivity of a vertex-transitive graph, from
+    the `flows` of `_orbit_paths` under vertex 0's stabilizer.
+
+    Transitivity lets vertex 0 stand for every source, and a map that fixes
+    vertex 0 keeps the path count of every vertex of an orbit.  So this is
+    the fewest paths from a non-neighbour of vertex 0 (vertex mode; with no
+    non-neighbour the graph is complete, and the connectivity is |V| - 1 by
+    convention) or from any vertex (edge mode).
+    """
+    nbrs = adj[0] if mode == "vertex" else ()
+    return min((len(paths) for rep, _, paths in flows if rep not in nbrs),
+               default=len(adj) - 1)
 
 
 def classical_connectivity(g: StarGraph) -> tuple[int, int]:
     """Exact (vertex, edge) connectivity by counting disjoint paths.
 
-    The source is the identity (rank 0), since the graph is vertex
-    transitive.  An automorphism fixing the source keeps every flow value
-    from it, so one target per orbit of the source's stabilizer (see
-    symmetry.star_maps) stands in for the whole orbit (S6 takes 35 flow
-    runs, not 1,429).  The neighbors (0 i) form one orbit, whose
-    smallest rank stands in for every adjacent pair in the edge
-    computation.  With no non-neighbors at all the graph is complete and
-    the vertex connectivity is |V| - 1 by convention.
+    One flow per orbit of the identity's stabilizer (see
+    symmetry.star_maps, whose generators are checked as automorphisms
+    first) stands in for the whole orbit: S6 takes 35 flow runs, not 1,429;
+    see _connectivity.  The vertex computation skips the neighbours (0 i),
+    which form one orbit.
     """
     if g.n < 2:
         raise InputError("connectivity needs n >= 2")
-    cached = _CLASSICAL_CACHE.get(g.n)
-    if cached is not None:
-        return cached
     adj = g.adjacency_lists()
-    V = g.num_vertices
-    s = 0
-    nbrs = set(adj[s])
-    non_nbrs = [t for t in stabilizer_orbit_representatives(adj) if t not in nbrs]
-
-    if not non_nbrs:
-        kappa = V - 1
-    else:
-        heads, to, cap0 = _vertex_split_network(adj)
-        kappa = g.degree
-        for t in non_nbrs:
-            cap = cap0.copy()
-            f = _max_flow_unit(heads, to, cap, 2 * s + 1, 2 * t, kappa)
-            if f < kappa:
-                kappa = f
-
-    heads, to, cap0 = _edge_network(adj)
-    lam = g.degree
-    for t in non_nbrs + [min(nbrs)]:
-        cap = cap0.copy()
-        f = _max_flow_unit(heads, to, cap, s, t, lam)
-        if f < lam:
-            lam = f
-    _CLASSICAL_CACHE[g.n] = (kappa, lam)
+    gens = star_maps(adj)[0]
+    check_automorphisms(adj, gens)
+    kappa = _connectivity(adj, "vertex", _orbit_paths(
+        adj, _keyed_rows(adj, "vertex")[0], "vertex", gens, set(adj[0])))
+    lam = _connectivity(adj, "edge", _orbit_paths(
+        adj, _keyed_rows(adj, "edge")[0], "edge", gens))
     return kappa, lam
 
 
@@ -353,83 +390,48 @@ def _keyed_rows(adj, mode):
     return rows, ground, [(u, w) for u, upper in enumerate(ids) for w in upper]
 
 
-def _path_family(adj, rows, ground, mode, deadline, maps=None):
+def _path_family(rows, ground, mode, flows, maps=None):
     """Disjoint paths from every vertex to a sink, indexed by key.
 
-    A maximum set of internally vertex-disjoint paths (vertex mode) or
-    edge-disjoint walks (edge mode) from each vertex v != 0 to vertex 0,
-    read off one unit max flow (Menger).  `maps` (see symmetry.star_maps)
-    holds automorphisms of the graph: generators of vertex 0's stabilizer,
-    and a map that moves vertex 0.  A map that fixes vertex 0 carries a
-    maximum family of v to one of its image, so a flow runs only for the
-    smallest vertex of each orbit (11 on S5, not 119), and every other
-    member takes the paths of the member it was reached from, mapped (edge
-    ids through their end vertices).  With no maps every vertex is its own
-    orbit.  In vertex mode the moving map then carries the whole family to
-    one whose sink is its image of vertex 0, with no flow at all: a second
-    sink for the bases that remove vertex 0.
+    `flows` holds the paths of `_orbit_paths` from the smallest vertex of
+    each orbit to vertex 0, for orbits under the generators `maps`[0] of
+    vertex 0's stabilizer (see symmetry.star_maps); `maps`[1] is a map that
+    moves vertex 0.  A map that fixes vertex 0 carries a maximum family of v
+    to one of its image, so every other member of an orbit takes the paths
+    of the member it was reached from, mapped (edge ids through their end
+    vertices).  With no maps every vertex is its own orbit.  In vertex mode
+    the moving map then carries the whole family to one whose sink is its
+    image of vertex 0, with no flow at all: a second sink for the bases that
+    remove vertex 0.
 
     Returns a list of families, or None when some vertex has fewer than
-    two paths, or when the deadline passes first.  A family is (sink, hits,
-    risk, high, width, first, keys).  The paths of v have the ids first[v]
-    to first[v + 1] - 1, and path p holds the removal keys keys[p]: its
-    inner vertices, or its edge ids.  The other four count, for every
-    vertex in one integer sum, the keys of a removal that lie on its paths.
-    Vertex v owns the `width`-bit lane at bit v * width; hits[key] has a 1
-    in the lane of every vertex with a path through key.  Summed over the
-    removal and added to `risk`, a lane reaches its top bit (`high`)
-    exactly when at least all but one of that vertex's paths hold a
-    removed key; lanes are wide enough that no sum carries into the next.
+    two paths.  A family is (sink, hits, risk, high, width, first, keys).
+    The paths of v have the ids first[v] to first[v + 1] - 1, and path p
+    holds the removal keys keys[p]: its inner vertices, or its edge ids.
+    The other four count, for every vertex in one integer sum, the keys of
+    a removal that lie on its paths.  Vertex v owns the `width`-bit lane at
+    bit v * width; hits[key] has a 1 in the lane of every vertex with a path
+    through key.  Summed over the removal and added to `risk`, a lane
+    reaches its top bit (`high`) exactly when at least all but one of that
+    vertex's paths hold a removed key; lanes are wide enough that no sum
+    carries into the next.
     """
     N = len(rows)
     vertex = mode == "vertex"
     gens, move = maps if maps is not None else ([], None)
     if vertex:
-        # source: the out-half 2v+1; sink: the in-half of vertex 0
-        heads, to, cap0 = _vertex_split_network(adj)
         keymaps = gens
     else:
-        heads, to, cap0 = _edge_network(adj)
-        # _edge_network adds one arc pair per row entry w > u, in row order
-        ekey = [key for u, row in enumerate(rows) for w, key in row if w > u]
         arc_key = {(u, w): key for u, row in enumerate(rows) for w, key in row}
         ends = [None] * ground
         for (u, w), key in arc_key.items():
             ends[key] = (u, w)
         keymaps = [[arc_key[f[u], f[w]] for u, w in ends] for f in gens]
     paths: list[tuple] = [()] * N
-    for rep, steps in orbits(N, gens):
-        if rep == 0:
-            continue
-        if deadline is not None and time.monotonic() > deadline:
+    for rep, steps, found in flows:
+        if len(found) < 2:
             return None
-        cap = cap0.copy()
-        source = 2 * rep + 1 if vertex else rep
-        if _max_flow_unit(heads, to, cap, source, 0, len(rows[rep])) < 2:
-            return None
-        found = []
-        # an arc carries flow when its capacity is spent; following one
-        # restores it, so no walk takes an arc twice
-        for a in heads[source]:
-            if cap[a] or not cap0[a]:
-                continue
-            path = []
-            b = a
-            while True:
-                cap[b] = 1
-                u = to[b]
-                if vertex:
-                    if u == 0:
-                        break
-                    path.append(u >> 1)
-                    u += 1
-                else:
-                    path.append(ekey[b >> 1])
-                    if u == 0:
-                        break
-                b = next(c for c in heads[u] if cap0[c] and not cap[c])
-            found.append(tuple(path))
-        paths[rep] = tuple(found)
+        paths[rep] = found
         for u, w, j in steps:
             km = keymaps[j]
             paths[u] = tuple(tuple(map(km.__getitem__, path)) for path in paths[w])
@@ -752,13 +754,18 @@ def _construction_witness(g: StarGraph, k: int, mode: str, formula):
 
 def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                    max_nodes: int | None, deadline: float | None, workers: int,
-                   formulas: list, flow_bound: int | None, maps=None):
+                   formulas: list, maps=None):
     """Walk removal sets in ascending size for every k of the ascending
-    `ks` at once, from the max-flow connectivity `flow_bound` (or 1) to
-    below each k's formula; see _oracle.  `stats` and `formulas` run
-    parallel to `ks`, and so does the returned list of outcomes.  `maps`
-    are automorphisms for the path family (see _path_family), checked
-    against `adj` first.
+    `ks` at once, to below each k's formula; see _oracle.  `stats` and
+    `formulas` run parallel to `ks`, and so does the returned list of
+    outcomes.
+
+    `maps` are automorphisms of a vertex-transitive graph for the path
+    family (see _path_family), checked against `adj` first.  With them the
+    flows of `_orbit_paths` run once, before the walk and before any worker
+    forks: they build the family and give the connectivity (see
+    _connectivity), and the walk starts there, since smaller removals
+    cannot disconnect.  With no maps it starts at size 1.
 
     The scans, and the candidates they yield, do not depend on k: a
     disconnecting removal is valid for k exactly when its smallest
@@ -769,16 +776,18 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     seen the same sizes, so they share one node count and one budget, and
     each k's stats are those of a walk for it alone."""
     global _WS
-    if maps is not None:
-        check_automorphisms(adj, maps[0] + [maps[1]])
     rows, ground, edges = _keyed_rows(adj, mode)
     ws = _WS = _WorkerState(rows, ground, mode, deadline)
+    conn_lb = 1
+    if maps is not None:
+        check_automorphisms(adj, maps[0] + [maps[1]])
+        flows = _orbit_paths(adj, rows, mode, maps[0])
+        conn_lb = _connectivity(adj, mode, flows)
+        ws.families = _path_family(rows, ground, mode, flows, maps)
     connected = _scan(ws, ())[0] == 1
     # a minimal disconnecting edge set is a bond only in a connected graph
     parity = mode == "edge" and connected and all(len(row) % 2 == 0 for row in rows)
     ws.track_disconnectors = parity
-    conn_lb = 1 if flow_bound is None else flow_bound
-    arcs = sum(map(len, rows))
 
     outcomes: list = [None] * len(ks)
     walking: list[tuple[int, int]] = []  # (index into ks, largest size)
@@ -798,8 +807,8 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 "odd sizes decided by boundary parity: every degree is even, so "
                 "minimal disconnecting edge sets have even size"
             )
-        if flow_bound is not None:
-            st.lower_bound = flow_bound
+        if maps is not None:
+            st.lower_bound = conn_lb
             st.notes.append(
                 f"sizes below {conn_lb} pruned: smaller removals cannot disconnect "
                 "(classical connectivity computed by max flow)"
@@ -838,7 +847,6 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
             outcomes[i] = (True, None, None)
 
     pool = None
-    family_tried = False
     try:
         for s in itertools.count(conn_lb):
             for i, max_size in walking:
@@ -879,17 +887,6 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 plan = _plan_level(ground, s, remaining)
                 if plan.truncated:
                     truncated = True
-                if flow_bound is not None and pool is None and not family_tried \
-                        and plan.bases_total >= arcs:
-                    # one flow per orbit (per vertex with no maps), with a
-                    # breadth-first search (about a scan) per path it finds,
-                    # and the paths mapped to the rest of each orbit: about
-                    # 44 scans on S5, and at most about a scan per arc, so a
-                    # level that plans a base per arc repays it.  It costs
-                    # what the max-flow bound cost, so it is built only where
-                    # that bound was, and before any worker forks
-                    ws.families = _path_family(adj, rows, ground, mode, deadline, maps)
-                    family_tried = True
                 tasks = _make_tasks(plan, workers, wks)
                 if workers > 1 and len(tasks) > 1:
                     if pool is None:
@@ -1104,6 +1101,10 @@ def _oracle(g: StarGraph, ks, mode: str, budget: SearchBudget | None,
 
     Subset enumeration decides every k in one walk; growth, whose state
     depends on k, runs once per k.  All ks share one wall-time window.
+    Only here is the graph known to be a star: subset enumeration gets its
+    automorphisms (symmetry.star_maps) for n <= 5, and with them the path
+    family and the max-flow bound, which holds only because the star graph
+    is vertex-transitive.
     """
     if g.n < 2:
         raise InputError("cut searches need n >= 2")
@@ -1124,15 +1125,11 @@ def _oracle(g: StarGraph, ks, mode: str, budget: SearchBudget | None,
         outcomes = [_growth_search(adj, k, mode, st, budget.max_nodes, deadline)
                     for k, st in zip(ks, stats)]
     else:
-        flow_bound = maps = None
-        if g.n <= _FLOW_PREFILTER_MAX_N:
-            kappa, lam = classical_connectivity(g)
-            flow_bound = kappa if mode == "vertex" else lam
-            maps = star_maps(adj)
+        maps = star_maps(adj) if g.n <= _FLOW_PREFILTER_MAX_N else None
         stats = [SearchStats(strategy="subset-enumeration", workers=workers, seed=seed)
                  for _ in ks]
         outcomes = _subset_search(adj, ks, mode, stats, budget.max_nodes, deadline,
-                                  workers, formulas, flow_bound, maps)
+                                  workers, formulas, maps)
     wall_time = time.monotonic() - t0
     results = []
     for k, formula, construction, st, (proved, value, witness) in zip(

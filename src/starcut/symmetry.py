@@ -93,8 +93,3 @@ def orbits(size: int, gens):
                     queue.append(u)
         yield rep, steps
 
-
-def stabilizer_orbit_representatives(adj) -> list[int]:
-    """Smallest vertex of each orbit of vertex 0's stabilizer, bar vertex 0,
-    on the star graph with adjacency `adj`."""
-    return [rep for rep, _ in orbits(len(adj), star_maps(adj)[0])][1:]

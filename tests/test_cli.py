@@ -259,6 +259,7 @@ def test_component_growth_on_s7_ends_by_budget(capsys, mode):
 
 def test_oracle_rejects_bad_budget():
     assert main(["oracle", "4", "1", "--max-nodes", "0"]) == 2
+    assert main(["oracle", "3", "1", "--max-seconds", "nan"]) == 2
 
 
 def test_table_output(capsys):

@@ -87,7 +87,8 @@ def test_stabilizer_orbits_are_keyed_by_cycle_type(n):
         orbits.setdefault(uf.find(v), set()).add(v)
         by_key.setdefault(_orbit_key(g.perm(v)), set()).add(v)
     assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, by_key.values()))
-    assert symmetry.stabilizer_orbit_representatives(adj) == sorted(
+    reps = [rep for rep, _ in symmetry.orbits(V, symmetry.star_maps(adj)[0])]
+    assert reps[1:] == sorted(
         min(orbit) for orbit in orbits.values() if 0 not in orbit
     )
 
@@ -135,7 +136,6 @@ def test_classical_connectivity_matches_networkx(n):
 
 def test_one_flow_run_per_orbit(monkeypatch, s6):
     # one run per non-neighbor (and one adjacent pair) would be 1,429 for S6
-    monkeypatch.setattr(oracle, "_CLASSICAL_CACHE", {})
     runs = 0
     real = oracle._max_flow_unit
 
@@ -182,6 +182,22 @@ def test_witnesses_validate(s4):
         assert is_k_vertex_cut(s4, rv.witness, k).valid
         re = exact_lambda_super(s4, k)
         assert is_k_edge_cut(s4, re.witness, k).valid
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_subset_walk_starts_at_the_classical_connectivity(n, mode):
+    # the bound comes from the path family's flows; on S2, whose one path
+    # per vertex refuses the family, the bound must stay
+    g = StarGraph(n)
+    bound = classical_connectivity(g)[mode == "edge"]
+    search = exact_kappa_super if mode == "vertex" else exact_lambda_super
+    for k in range(n - 1):
+        st = search(g, k, SearchBudget(max_nodes=2000)).stats
+        assert st.lower_bound == bound, k
+        assert st.pruned_sizes == list(range(1, min(bound, cut_size_formula(n, k)))), k
+        assert (f"sizes below {bound} pruned: smaller removals cannot disconnect "
+                "(classical connectivity computed by max flow)") in st.notes, k
 
 
 def test_kappa0_matches_classical():
@@ -358,6 +374,8 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(InputError):
         SearchBudget(max_wall_time=-1)
+    with pytest.raises(InputError):
+        SearchBudget(max_wall_time=float("nan"))
     with pytest.raises(InputError):
         SearchBudget(strategy="quantum")
 

@@ -16,7 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starcut import InvariantViolationError, SearchBudget, StarGraph
+from starcut import (
+    InvariantViolationError,
+    SearchBudget,
+    StarGraph,
+    classical_connectivity,
+)
 from starcut import oracle
 from starcut.oracle import (
     SearchStats,
@@ -24,6 +29,7 @@ from starcut.oracle import (
     _certified,
     _check_removal,
     _keyed_rows,
+    _orbit_paths,
     _path_family,
     _scan,
     _subset_search,
@@ -216,8 +222,10 @@ def _assert_skip_is_sound(ws, base, L, x_end):
 
 
 def _family_state(adj, mode, maps=None):
+    # the path families as the subset walk builds them
     rows, ground, edges = _keyed_rows(adj, mode)
-    return _state(mode, rows, ground, _path_family(adj, rows, ground, mode, None, maps))
+    flows = _orbit_paths(adj, rows, mode, maps[0] if maps else [])
+    return _state(mode, rows, ground, _path_family(rows, ground, mode, flows, maps))
 
 
 @settings(max_examples=600, deadline=None)
@@ -357,8 +365,7 @@ def _assert_maximum_disjoint_paths(adj, mode, family):
 @settings(max_examples=200, deadline=None)
 @given(two_path_graphs(), st.sampled_from(["vertex", "edge"]))
 def test_path_family_holds_maximum_disjoint_paths_to_vertex_0(adj, mode):
-    rows, ground, edges = _keyed_rows(adj, mode)
-    family, = _path_family(adj, rows, ground, mode, None)
+    family, = _family_state(adj, mode).families
     assert family[0] == 0
     _assert_maximum_disjoint_paths(adj, mode, family)
 
@@ -381,21 +388,15 @@ def test_path_family_runs_one_flow_per_orbit(monkeypatch, mode):
     monkeypatch.setattr(oracle, "_max_flow_unit", lambda *a: runs.append(a[3]) or real(*a))
     adj = StarGraph(5).adjacency_lists()
     rows, ground, edges = _keyed_rows(adj, mode)
-    _path_family(adj, rows, ground, mode, None, star_maps(adj))
+    _orbit_paths(adj, rows, mode, star_maps(adj)[0])
     assert len(runs) == 11
     runs.clear()
-    _path_family(adj, rows, ground, mode, None)
+    _orbit_paths(adj, rows, mode, [])
     assert len(runs) == 119
 
 
-@pytest.mark.parametrize("broken", [0, 1, 2])
-@pytest.mark.parametrize("how", ["slots", "images"])
-def test_a_map_that_is_not_an_automorphism_stops_the_walk(broken, how):
-    # star_maps reads each map off the slot order of the rows.  With two
-    # slots of one row swapped the graph is the same, but the maps read off
-    # it are no longer bijections.  Swapping two images of a map keeps a
-    # bijection that breaks arcs.  The walk must refuse either
-    adj = StarGraph(4).adjacency_lists()
+def _broken_maps(adj, broken, how):
+    """star_maps(adj) as a list, with map number `broken` broken `how`."""
     gens, move = star_maps(adj)
     maps = [*gens, move]
     if how == "slots":
@@ -407,10 +408,35 @@ def test_a_map_that_is_not_an_automorphism_stops_the_walk(broken, how):
         f = maps[broken] = maps[broken].copy()
         f[5], f[6] = f[6], f[5]
     assert maps[broken] != [*gens, move][broken]
+    return maps
+
+
+@pytest.mark.parametrize("broken", [0, 1, 2])
+@pytest.mark.parametrize("how", ["slots", "images"])
+def test_a_map_that_is_not_an_automorphism_stops_the_walk(broken, how):
+    # star_maps reads each map off the slot order of the rows.  With two
+    # slots of one row swapped the graph is the same, but the maps read off
+    # it are no longer bijections.  Swapping two images of a map keeps a
+    # bijection that breaks arcs.  The walk must refuse either
+    adj = StarGraph(4).adjacency_lists()
+    maps = _broken_maps(adj, broken, how)
     stats = [SearchStats(strategy="subset-enumeration", workers=1)]
     with pytest.raises(InvariantViolationError):
-        _subset_search(adj, [1], "vertex", stats, None, None, 1, [4], 3,
+        _subset_search(adj, [1], "vertex", stats, None, None, 1, [4],
                        (maps[:2], maps[2]))
+
+
+@pytest.mark.parametrize("broken", [0, 1])
+@pytest.mark.parametrize("how", ["slots", "images"])
+def test_a_map_that_is_not_an_automorphism_stops_classical_connectivity(
+        monkeypatch, broken, how):
+    # the same breakages of the stabilizer's generators, the only maps the
+    # connectivity uses
+    g = StarGraph(4)
+    maps = _broken_maps(g.adjacency_lists(), broken, how)
+    monkeypatch.setattr(oracle, "star_maps", lambda adj: (maps[:2], maps[2]))
+    with pytest.raises(InvariantViolationError):
+        classical_connectivity(g)
 
 
 @pytest.mark.parametrize("mode, adj", [
@@ -421,35 +447,23 @@ def test_a_map_that_is_not_an_automorphism_stops_the_walk(broken, how):
     ("vertex", [[1], [0]]),  # K2: the one path of vertex 1 is its edge
 ])
 def test_path_family_is_not_used_below_two_paths_per_vertex(mode, adj):
-    rows, ground, edges = _keyed_rows(adj, mode)
-    assert _path_family(adj, rows, ground, mode, None) is None
+    assert _family_state(adj, mode).families is None
 
 
-def test_path_family_gives_up_at_the_deadline():
-    adj = StarGraph(4).adjacency_lists()
-    rows, ground, edges = _keyed_rows(adj, "vertex")
-    assert _path_family(adj, rows, ground, "vertex", 0.0) is None
-
-
-def test_path_family_stays_unbuilt_when_the_budget_plans_little(monkeypatch):
-    # the family costs about one scan per arc, so a level must plan that
-    # many bases first: S5 vertex at 2,000 nodes plans 18 of its 480 arcs,
-    # S5 edge at 200,000 nodes plans enough.  It costs what the max-flow
-    # bound costs, so S6, which has no such bound, never builds it
+def test_path_family_is_never_built_beyond_s5(monkeypatch):
+    # the family is built only on star graphs up to S5, where its flows
+    # finish in milliseconds, so S6 never builds it
     built = []
     real = oracle._path_family
     monkeypatch.setattr(oracle, "_path_family",
-                        lambda *a: built.append(a[3]) or real(*a))
-    oracle.exact_kappa_super(StarGraph(5), 1, SearchBudget(max_nodes=2000))
+                        lambda *a: built.append(a[2]) or real(*a))
     oracle.exact_kappa_super(StarGraph(6), 1, SearchBudget(max_nodes=200_000))
     assert built == []
-    oracle.exact_lambda_super(StarGraph(5), 1, SearchBudget(max_nodes=200_000))
-    assert built == ["edge"]
 
 
 def _whole_walk_cases():
     # unbudgeted S5 with the family turned off takes minutes, so S5 runs
-    # at a budget whose size-4 level plans enough bases to build it
+    # at budgets
     for n in (2, 3, 4, 5):
         for max_nodes in (50, 3000, 200_000) if n == 5 else (None, 50, 3000):
             yield n, max_nodes
