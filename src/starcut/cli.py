@@ -77,7 +77,9 @@ def _json(payload) -> str:
 
 def _add_threads(p):
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: machine parallelism)")
+                   help="worker processes for the search levels large enough "
+                        "to pay for them; smaller levels run in-process "
+                        "(default: the CPUs this process may run on)")
 
 
 def _threads(args) -> int:
@@ -85,6 +87,8 @@ def _threads(args) -> int:
         if args.threads < 1:
             raise InputError("--threads must be >= 1")
         return args.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

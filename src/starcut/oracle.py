@@ -53,6 +53,16 @@ from .symmetry import (
 # attempted while the graph is small enough for them to finish in seconds.
 _FLOW_PREFILTER_MAX_N = 5
 _TABLE_SEARCH_MAX_N = 5
+# A subset-walk level forks the worker pool only when it plans at least this
+# many bases; a smaller level runs in the parent, where a fork costs more
+# than it saves.  Measured on S5 k=1, 1 worker against 2, fresh interpreters
+# on a 2-vCPU host: vertex mode is faster serial at 114,827 bases and faster
+# pooled at 154,078; edge mode is even at 53,431 and faster pooled at
+# 83,876.  The threshold lies between the two crossovers, so either mode
+# loses at most one pool start-up (about 0.1 s) in the band between.  The
+# benchmark and `table` levels plan at most 25,523 bases, and the unbudgeted
+# S5 walks 273,819 and more.
+_POOL_MIN_BASES = 100_000
 _PARITY_SUPERSET_CAP = 2_000_000
 DEFAULT_TABLE_MAX_NODES = 500_000
 
@@ -774,7 +784,12 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     (the minimum, since every smaller size was decided in full), past its
     formula - 1, or when the budget runs out.  The ks still walking have
     seen the same sizes, so they share one node count and one budget, and
-    each k's stats are those of a walk for it alone."""
+    each k's stats are those of a walk for it alone.
+
+    With `workers` > 1 a level runs on the worker pool only when it plans
+    at least _POOL_MIN_BASES bases, and the pool is forked at the first
+    such level; every smaller level runs in-process, so a walk without one
+    forks nothing.  Results do not depend on where a level runs."""
     global _WS
     rows, ground, edges = _keyed_rows(adj, mode)
     ws = _WS = _WorkerState(rows, ground, mode, deadline)
@@ -888,7 +903,7 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 if plan.truncated:
                     truncated = True
                 tasks = _make_tasks(plan, workers, wks)
-                if workers > 1 and len(tasks) > 1:
+                if workers > 1 and len(tasks) > 1 and plan.bases_total >= _POOL_MIN_BASES:
                     if pool is None:
                         import multiprocessing
 

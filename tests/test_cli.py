@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -260,6 +261,18 @@ def test_component_growth_on_s7_ends_by_budget(capsys, mode):
 def test_oracle_rejects_bad_budget():
     assert main(["oracle", "4", "1", "--max-nodes", "0"]) == 2
     assert main(["oracle", "3", "1", "--max-seconds", "nan"]) == 2
+
+
+def test_default_threads_are_the_cpus_this_process_may_run_on(capsys, monkeypatch):
+    # a process pinned to 2 of 64 CPUs runs 2 workers, not 64
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    code, out = run_cli(capsys, "oracle", "3", "1", "--mode", "edge")
+    assert code == 0 and json.loads(out)["stats"]["workers"] == 2
+    # without affinity, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    code, out = run_cli(capsys, "oracle", "3", "1", "--mode", "edge")
+    assert code == 0 and json.loads(out)["stats"]["workers"] == 64
 
 
 def test_table_output(capsys):

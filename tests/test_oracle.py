@@ -249,7 +249,9 @@ def test_determinism_same_budget(s4):
     assert a == b  # includes node counts; wall time excluded from comparison
 
 
-def test_workers_do_not_change_results(s4):
+def test_workers_do_not_change_results(s4, monkeypatch):
+    # S4 levels are too small to fork a pool for; force it
+    monkeypatch.setattr(oracle, "_POOL_MIN_BASES", 0)
     for k in (1, 2):
         a = exact_kappa_super(s4, k, workers=1)
         b = exact_kappa_super(s4, k, workers=2)
@@ -272,7 +274,9 @@ def test_budget_truncation_reports_upper_bound(s5):
     assert is_k_vertex_cut(s5, res.witness, 1).valid
 
 
-def test_node_budget_is_a_hard_cap(s5):
+def test_node_budget_is_a_hard_cap(s5, monkeypatch):
+    # the 2-worker arm forks a pool although its levels are small
+    monkeypatch.setattr(oracle, "_POOL_MIN_BASES", 0)
     budget = SearchBudget(max_nodes=5_000)
     for search in (exact_kappa_super, exact_lambda_super):
         for workers in (1, 2):
@@ -290,13 +294,43 @@ def _raise_first_then_sleep(task):
 
 
 def test_failing_task_tears_the_pool_down(s4, monkeypatch):
-    # workers are forked, so they see the patched module attribute
+    # workers are forked, so they see the patched module attribute; S4's
+    # levels would run in-process, so the pool is forced
+    monkeypatch.setattr(oracle, "_POOL_MIN_BASES", 0)
     monkeypatch.setattr(oracle, "_run_task", _raise_first_then_sleep)
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="task failed"):
         exact_kappa_super(s4, 1, workers=2)
     assert time.monotonic() - t0 < 10
     assert not multiprocessing.active_children()
+
+
+def test_small_levels_fork_no_pool(s4, s5, monkeypatch):
+    # at 2M nodes no level plans enough bases to pay for a pool, so the
+    # 2-worker walk forks nothing and equals the 1-worker walk
+    def no_fork(*args):
+        raise AssertionError("a pool was forked")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    budget = SearchBudget(max_nodes=2_000_000)
+    for g in (s4, s5):
+        for search in (exact_kappa_super, exact_lambda_super):
+            a, b = (search(g, 1, budget=budget, workers=w) for w in (1, 2))
+            assert (a.kind, a.value, a.witness, a.stats.nodes,
+                    a.stats.candidates_checked) == (
+                b.kind, b.value, b.witness, b.stats.nodes,
+                b.stats.candidates_checked), (g.n, search.__name__)
+            assert b.stats.workers == 2
+
+
+def test_certification_levels_plan_enough_bases_for_the_pool():
+    # the unbudgeted S5 k=1 walks (acceptance 2, the CI certification
+    # steps) must keep their pool: vertex mode's level 5 and edge mode's
+    # level 4 are where their time goes
+    vertices = factorial(5)
+    edges = vertices * 4 // 2
+    assert oracle._plan_level(vertices, 5, None).bases_total >= oracle._POOL_MIN_BASES
+    assert oracle._plan_level(edges, 4, None).bases_total >= oracle._POOL_MIN_BASES
 
 
 def test_deadline_checked_inside_parity_loop(monkeypatch):

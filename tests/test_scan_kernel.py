@@ -474,7 +474,8 @@ def _whole_walk_cases():
 def test_whole_walk_is_unchanged_by_the_path_family(monkeypatch, n, max_nodes, mode):
     # every k of the star in one walk, on 1 and 2 workers: results, node
     # and check counts, witnesses and notes must match a walk that scans
-    # every base
+    # every base.  These levels are too small to fork a pool for; force it
+    monkeypatch.setattr(oracle, "_POOL_MIN_BASES", 0)
     g = StarGraph(n)
     ks = list(range(n + 1))
     budget = SearchBudget(max_nodes=max_nodes)
