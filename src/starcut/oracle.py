@@ -9,9 +9,10 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
   vertex skip the scans they prove would find nothing.  The max flows that
   find those paths also give the connectivity, and sizes below it are
   pruned wholesale, since such removals cannot disconnect.
-  Odd edge sizes go by boundary parity if the graph is connected and every
-  degree is even.  A connected graph has no cut when k >= 1 and k is at
-  least its largest degree, which is settled before any size.
+  Odd edge sizes are skipped outright if the graph is connected and every
+  degree is even: a parity lemma shows they hold no new minimum.  A
+  connected graph has no cut when k >= 1 and k is at least its largest
+  degree, which is settled before any size.
 * component growth enumerates connected induced subgraphs exactly once
   (anchor rule) and scores their neighborhoods or edge boundaries.  Its
   lower bound holds only on a connected graph.
@@ -63,7 +64,6 @@ _TABLE_SEARCH_MAX_N = 5
 # benchmark and `table` levels plan at most 25,523 bases, and the unbudgeted
 # S5 walks 273,819 and more.
 _POOL_MIN_BASES = 100_000
-_PARITY_SUPERSET_CAP = 2_000_000
 DEFAULT_TABLE_MAX_NODES = 500_000
 
 _STRATEGIES = ("auto", "subset-enumeration", "component-growth")
@@ -366,7 +366,6 @@ class _WorkerState:
     def __init__(self, rows, ground, mode, deadline=None):
         self.vertex = mode == "vertex"
         self.deadline = deadline
-        self.track_disconnectors = False
         self.rows = rows
         self.N = len(rows)
         self.ground = ground
@@ -661,14 +660,13 @@ def _run_task(task):
     """Decide every subset covered by a span of bases; see _plan_level.
 
     Returns (nodes, checked, smallest valid removal or None for each of the
-    ascending `ks`, disconnecting removals, expired)."""
+    ascending `ks`, expired)."""
     ws = _WS
     s, L, start, count, x_end, ks = task
     vertex = ws.vertex
     deadline = ws.deadline
     bests = [None] * len(ks)
     reach = 0
-    disc_sets: list[tuple] = []
     nodes = 0
     checked = 0
     expired = False
@@ -699,53 +697,9 @@ def _run_task(task):
             disconnected, mind = _check_removal(ws, removal)
             checked += 1
             if disconnected:
-                if ws.track_disconnectors:
-                    disc_sets.append(removal)
                 reach = _settle(ks, bests, reach, removal, mind)
         nodes += x_end - 1 - L
-    return nodes, checked, bests, disc_sets, expired
-
-
-def _parity_superset_candidates(minimals, s, ground):
-    """Size-s supersets of the tracked minimal disconnecting sets, or None.
-
-    In a connected graph whose degrees are all even, every removal boundary
-    (and so every minimal disconnecting edge set) has even size; at odd s
-    there are no new minimal sets and the supersets below are the only
-    candidates.
-    Returns None when the candidate space is too large to be worthwhile.
-    """
-    estimate = 0
-    for m in minimals:
-        need = s - len(m)
-        if need < 0:
-            continue
-        estimate += comb(ground - len(m), need)
-        if estimate > _PARITY_SUPERSET_CAP:
-            return None
-    cands: set[tuple] = set()
-    for m in minimals:
-        need = s - len(m)
-        if need < 0:
-            continue
-        if need == 0:
-            cands.add(tuple(m))
-            continue
-        inside = set(m)
-        others = [e for e in range(ground) if e not in inside]
-        for extra in itertools.combinations(others, need):
-            cands.add(tuple(sorted(m + extra)))
-    return sorted(cands)
-
-
-def _update_minimals(minimals, disc_sets):
-    """Keep only disconnecting sets that contain no previously known one."""
-    known = [set(m) for m in minimals]
-    for d in sorted(set(disc_sets)):
-        ds = set(d)
-        if not any(m <= ds for m in known):
-            minimals.append(d)
-            known.append(ds)
+    return nodes, checked, bests, expired
 
 
 def _construction_witness(g: StarGraph, k: int, mode: str, formula):
@@ -781,10 +735,15 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     disconnecting removal is valid for k exactly when its smallest
     surviving degree is at least k.  Each k leaves the walk where a walk
     for it alone would stop: after the first size holding a valid removal
-    (the minimum, since every smaller size was decided in full), past its
-    formula - 1, or when the budget runs out.  The ks still walking have
-    seen the same sizes, so they share one node count and one budget, and
-    each k's stats are those of a walk for it alone.
+    (the minimum, since every smaller size was decided in full or ruled
+    out), past its formula - 1, or when the budget runs out.  The ks still
+    walking have seen the same sizes, so they share one node count and one
+    budget, and each k's stats are those of a walk for it alone.
+
+    In edge mode on a connected graph whose degrees are all even, an odd
+    size holds no new minimum (see the parity lemma at the skip), so it is
+    pruned with no nodes spent; every size the walk decides is planned by
+    `_plan_level` and decided by `_run_task`.
 
     With `workers` > 1 a level runs on the worker pool only when it plans
     at least _POOL_MIN_BASES bases, and the pool is forked at the first
@@ -802,7 +761,6 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     connected = _scan(ws, ())[0] == 1
     # a minimal disconnecting edge set is a bond only in a connected graph
     parity = mode == "edge" and connected and all(len(row) % 2 == 0 for row in rows)
-    ws.track_disconnectors = parity
 
     outcomes: list = [None] * len(ks)
     walking: list[tuple[int, int]] = []  # (index into ks, largest size)
@@ -836,7 +794,6 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
         st.pruned_sizes.extend(range(1, min(conn_lb, max_size + 1)))
         walking.append((i, max_size))
 
-    minimals: list[tuple] = []
     nodes = 0
     checked = 0
 
@@ -870,6 +827,20 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
             walking = [w for w in walking if w[1] >= s]
             if not walking:
                 break
+            if parity and s % 2 == 1:
+                # A bond (minimal disconnecting edge set) of a connected
+                # graph is the boundary of one side, and when every degree
+                # is even a boundary has even size.  So a valid k-cut F of
+                # odd size holds a bond B with |B| < |F|.  For an edge e of
+                # F not in B, F - e still holds B and disconnects, and
+                # putting e back lowers no degree: F - e is a valid k-cut
+                # of size |F| - 1.  A k still walking has none at s - 1 (a
+                # size decided in full, pruned by connectivity, or the
+                # empty set, which splits no connected graph), so it has
+                # none at s either, and the size costs no nodes or budget.
+                for i, _ in walking:
+                    stats[i].pruned_sizes.append(s)
+                continue
             remaining = max_nodes - nodes if max_nodes is not None else None
             if (remaining is not None and remaining <= 0) or \
                     (deadline is not None and time.monotonic() > deadline):
@@ -879,52 +850,27 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
 
             wks = [ks[i] for i, _ in walking]
             best: list = [None] * len(wks)
-            truncated = False
-            cands = None
-            if parity and s % 2 == 1:
-                cands = _parity_superset_candidates(minimals, s, ground)
-            if cands is not None:
-                if remaining is not None and len(cands) > remaining:
-                    cands = cands[:remaining]
-                    truncated = True
-                reach = 0
-                for j, cand in enumerate(cands):
-                    if deadline is not None and (j & 255) == 0 \
-                            and time.monotonic() > deadline:
-                        truncated = True
-                        break
-                    disconnected, mind = _check_removal(ws, cand)
-                    checked += 1
-                    nodes += 1
-                    if disconnected:
-                        reach = _settle(wks, best, reach, cand, mind)
-            else:
-                plan = _plan_level(ground, s, remaining)
-                if plan.truncated:
-                    truncated = True
-                tasks = _make_tasks(plan, workers, wks)
-                if workers > 1 and len(tasks) > 1 and plan.bases_total >= _POOL_MIN_BASES:
-                    if pool is None:
-                        import multiprocessing
+            plan = _plan_level(ground, s, remaining)
+            truncated = plan.truncated
+            tasks = _make_tasks(plan, workers, wks)
+            if workers > 1 and len(tasks) > 1 and plan.bases_total >= _POOL_MIN_BASES:
+                if pool is None:
+                    import multiprocessing
 
-                        ctx = multiprocessing.get_context("fork")
-                        pool = ctx.Pool(workers)
-                    # unordered, so a failing task raises at once; the fold
-                    # below does not depend on the order
-                    results = pool.imap_unordered(_run_task, tasks)
-                else:
-                    results = map(_run_task, tasks)
-                disc: list[tuple] = []
-                for t_nodes, t_checked, t_bests, t_disc, t_expired in results:
-                    nodes += t_nodes
-                    checked += t_checked
-                    for j, t_best in enumerate(t_bests):
-                        if t_best is not None and (best[j] is None or t_best < best[j]):
-                            best[j] = t_best
-                    disc.extend(t_disc)
-                    truncated = truncated or t_expired
-                if parity and not truncated:
-                    _update_minimals(minimals, disc)
+                    ctx = multiprocessing.get_context("fork")
+                    pool = ctx.Pool(workers)
+                # unordered, so a failing task raises at once; the fold
+                # below does not depend on the order
+                results = pool.imap_unordered(_run_task, tasks)
+            else:
+                results = map(_run_task, tasks)
+            for t_nodes, t_checked, t_bests, t_expired in results:
+                nodes += t_nodes
+                checked += t_checked
+                for j, t_best in enumerate(t_bests):
+                    if t_best is not None and (best[j] is None or t_best < best[j]):
+                        best[j] = t_best
+                truncated = truncated or t_expired
 
             for (i, _), b in zip(walking, best):
                 stats[i].sizes_examined.append(s)

@@ -9,7 +9,7 @@ import contextlib
 import os
 import random
 import time
-from math import factorial
+from math import comb, factorial
 
 from starcut import (
     SearchBudget,
@@ -70,7 +70,10 @@ def test_acceptance_1_exact_values_small_instances():
 
 
 def test_acceptance_2_stretch_search_s5_k1(s5):
-    workers = min(8, os.cpu_count() or 1)
+    # the CPUs this process may run on, as the CLI's default --threads
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(8, cpus)
     desc = (
         f"n=5 k=1 search reports exact 6 within {STRETCH_SECONDS:.0f}s per mode on "
         f"{workers} workers"
@@ -86,6 +89,11 @@ def test_acceptance_2_stretch_search_s5_k1(s5):
         assert re.kind == "exact", re.kind
         assert re.value == 6, re
         assert is_k_edge_cut(s5, re.witness, 1).valid
+        # every degree of S5 is 4, so the parity lemma prunes size 5 and
+        # only size 4 is walked, in full
+        assert re.stats.sizes_examined == [4], re.stats
+        assert re.stats.pruned_sizes == [1, 2, 3, 5], re.stats
+        assert re.stats.nodes == comb(240, 4), re.stats
         print(f"  vertex: {rv.kind} (nodes={rv.stats.nodes})")
         print(f"  edge:   {re.kind} (nodes={re.stats.nodes})")
 

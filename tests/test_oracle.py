@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import multiprocessing
 import time
-import types
 from math import factorial
 
 import pytest
@@ -331,37 +330,6 @@ def test_certification_levels_plan_enough_bases_for_the_pool():
     edges = vertices * 4 // 2
     assert oracle._plan_level(vertices, 5, None).bases_total >= oracle._POOL_MIN_BASES
     assert oracle._plan_level(edges, 4, None).bases_total >= oracle._POOL_MIN_BASES
-
-
-def test_deadline_checked_inside_parity_loop(monkeypatch):
-    # The bowtie (two triangles sharing vertex 2) has even degrees, so odd
-    # edge-removal sizes are decided from the supersets of the minimal
-    # disconnecting sets.  Every edge has an end of degree 2, so k = 2 has
-    # no cut, yet k is below the largest degree (4): without a deadline the
-    # search would run to every size.  The fake clock expires as the size-3
-    # supersets are listed, so the first deadline check inside their loop
-    # must stop it.
-    bowtie = [[1, 2], [0, 2], [0, 1, 3, 4], [2, 4], [2, 3]]
-    now = [0.0]
-    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
-    supersets = oracle._parity_superset_candidates
-
-    def expire_at_size_3(minimals, s, ground):
-        if s == 3:
-            now[0] = 1e9
-            assert minimals  # the loop below has candidates to check
-        return supersets(minimals, s, ground)
-
-    monkeypatch.setattr(oracle, "_parity_superset_candidates", expire_at_size_3)
-    stats = oracle.SearchStats(strategy="subset-enumeration", workers=1)
-    (proved, value, witness), = oracle._subset_search(bowtie, [2], "edge", [stats],
-                                                      None, 60.0, 1, [None], None)
-    assert not proved and value is None and witness is None
-    # sizes 1 (no minimal sets yet) and 2 (C(6, 2) = 15) were decided in
-    # full, no size-3 superset was
-    assert stats.nodes == 15 and stats.candidates_checked == 6
-    assert stats.sizes_examined == [1, 2, 3]
-    assert stats.notes[-1] == "budget exhausted before the search class was decided"
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])
@@ -726,6 +694,67 @@ def test_parity_rule_needs_a_connected_graph():
     proved, value, witness = _search("subset", two_triangles, 1, "edge")
     assert (proved, value) == (True, 1)
     assert brute_is_k_cut(6, edges, 1, "edge", witness)
+
+
+def test_parity_rule_skips_odd_sizes_of_the_bowtie():
+    # two triangles sharing vertex 2: connected, every degree even, so every
+    # odd edge size is pruned by the parity lemma and costs no nodes
+    bowtie = [[1, 2], [0, 2], [0, 1, 3, 4], [2, 4], [2, 3]]
+    edges = _edge_list(bowtie)
+    for k in (1, 2):
+        proved, value, witness = _search("subset", bowtie, k, "edge")
+        assert proved and value == brute_min_k_cut(5, edges, k, "edge"), k
+        if value is not None:
+            assert brute_is_k_cut(5, edges, k, "edge", witness), k
+    # every edge has an end of degree 2, so k = 2 has no cut and the walk
+    # decides every even size: C(6, 2) + C(6, 4) + C(6, 6) nodes
+    (outcome, stats), = _walk(bowtie, [2], "edge", [None], None)
+    assert outcome == (True, None, None)
+    assert stats.sizes_examined == [2, 4, 6]
+    assert stats.pruned_sizes == [1, 3, 5]
+    assert stats.nodes == 31
+    # below a formula of 4 only size 2 needs deciding, and 15 nodes cover it
+    (outcome, stats), = _walk(bowtie, [2], "edge", [4], 15)
+    assert outcome == (True, None, None)
+    assert stats.nodes == 15 and stats.pruned_sizes == [1, 3]
+
+
+@st.composite
+def even_degree_graphs(draw):
+    """Connected graphs on at most 7 vertices and 12 edges whose degrees
+    are all even: an edge-disjoint union of cycles, each new one through a
+    vertex already used, so the union stays connected."""
+    n = draw(st.integers(3, 7))
+    edges: set = set()
+    used = {0}
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.sampled_from(sorted(used)))
+        rest = draw(st.lists(st.sampled_from([v for v in range(n) if v != start]),
+                             min_size=2, max_size=n - 1, unique=True))
+        cycle = [start] + rest
+        new = {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+        if new & edges or len(edges | new) > 12:
+            continue
+        edges |= new
+        used.update(cycle)
+    label = {v: i for i, v in enumerate(sorted(used))}
+    adj = [[] for _ in used]
+    for u, w in edges:
+        adj[label[u]].append(label[w])
+        adj[label[w]].append(label[u])
+    return [sorted(row) for row in adj]
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_degree_graphs(), st.integers(0, 3))
+def test_parity_rule_matches_brute_force_on_even_degree_graphs(adj, k):
+    assert all(len(row) % 2 == 0 for row in adj)
+    edges = _edge_list(adj)
+    brute = brute_min_k_cut(len(adj), edges, k, "edge")
+    proved, value, witness = _search("subset", adj, k, "edge")
+    assert (proved, value) == (True, brute), (adj, k)
+    if value is not None:
+        assert brute_is_k_cut(len(adj), edges, k, "edge", witness), (adj, k)
 
 
 def _hypercube(n):
