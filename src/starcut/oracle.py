@@ -20,10 +20,10 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
 Both read only a plain adjacency list and judge candidates with one removal
 check; `_oracle` alone knows the graph is a star and passes in the formula
 and the automorphisms that build the paths, whose flow counts give the
-connectivity of a vertex-transitive graph.  Each strategy reports only what
-it proved; one rule in `_oracle` labels the result.  It is exact only
-together with a statement of what was exhausted; anything truncated by
-budget is an upper bound.
+connectivity once the maps are checked to reach every vertex.  Each
+strategy reports only what it proved; one rule in `_oracle` labels the
+result.  It is exact only together with a statement of what was exhausted;
+anything truncated by budget is an upper bound.
 """
 
 from __future__ import annotations
@@ -135,47 +135,28 @@ class FormulaRow:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_split_network(adj):
-    """Split every vertex into in/out halves joined by a unit arc."""
-    V = len(adj)
-    heads = [[] for _ in range(2 * V)]
-    to: list[int] = []
-    cap0: list[int] = []
-
-    def arc(u, v, c):
-        heads[u].append(len(to))
-        to.append(v)
-        cap0.append(c)
-
-    for v in range(V):
-        arc(2 * v, 2 * v + 1, 1)
-        arc(2 * v + 1, 2 * v, 0)
-    for u in range(V):
-        for w in adj[u]:
+def _flow_network(rows, vertex):
+    """The unit flow network of the keyed rows; each arc carries the removal
+    key it crosses.  Returns (heads, to, cap0, keys), where arc a ^ 1 is the
+    residual of arc a.  In vertex mode vertex v has an in-half 2v and an
+    out-half 2v+1, and the arc 2v -> 2v+1 is keyed v.  In edge mode both
+    arcs of an edge are keyed by its id.  Every other arc is keyed -1.
+    """
+    pairs = [(2 * v, 2 * v + 1, 0, v) for v in range(len(rows))] if vertex else []
+    for u, row in enumerate(rows):
+        for w, key in row:
             if w > u:
-                arc(2 * u + 1, 2 * w, 1)
-                arc(2 * w, 2 * u + 1, 0)
-                arc(2 * w + 1, 2 * u, 1)
-                arc(2 * u, 2 * w + 1, 0)
-    return heads, to, cap0
-
-
-def _edge_network(adj):
-    """Each undirected edge becomes a mutually reverse pair of unit arcs."""
-    V = len(adj)
-    heads = [[] for _ in range(V)]
-    to: list[int] = []
-    cap0: list[int] = []
-    for u in range(V):
-        for w in adj[u]:
-            if w > u:
-                heads[u].append(len(to))
-                to.append(w)
-                cap0.append(1)
-                heads[w].append(len(to))
-                to.append(u)
-                cap0.append(1)
-    return heads, to, cap0
+                pairs += ([(2 * u + 1, 2 * w, 0, -1), (2 * w + 1, 2 * u, 0, -1)]
+                          if vertex else [(u, w, 1, key)])
+    # a pair is the unit arc u -> w and its residual w -> u of capacity
+    # `back`, which carries the key too only when it is an arc of its own
+    to = [x for u, w, _, _ in pairs for x in (w, u)]
+    cap0 = [c for _, _, back, _ in pairs for c in (1, back)]
+    keys = [k for _, _, back, key in pairs for k in (key, key if back else -1)]
+    heads = [[] for _ in range(2 * len(rows) if vertex else len(rows))]
+    for a in range(len(to)):
+        heads[to[a ^ 1]].append(a)
+    return heads, to, cap0, keys
 
 
 def _max_flow_unit(heads, to, cap, source, sink, limit):
@@ -208,7 +189,7 @@ def _max_flow_unit(heads, to, cap, source, sink, limit):
     return flow
 
 
-def _orbit_paths(adj, rows, mode, gens, skip=()):
+def _orbit_paths(rows, mode, gens, skip=()):
     """Disjoint paths to vertex 0 from one vertex of each orbit, by max flow.
 
     The orbits are those of the group the maps `gens` generate (see
@@ -217,22 +198,17 @@ def _orbit_paths(adj, rows, mode, gens, skip=()):
     unit max flow (Menger) from its smallest vertex, rep, to vertex 0 yields
     a maximum set of internally vertex-disjoint paths (vertex mode) or
     edge-disjoint walks (edge mode).  Returns (rep, steps, paths) per orbit,
-    with `steps` as symmetry.orbits gives them and each path as its removal
-    keys in `rows`: its inner vertices, or its edge ids.
+    with `steps` as symmetry.orbits gives them and each path as the keys its
+    arcs carry (see _flow_network): its inner vertices, or its edge ids.
     """
     vertex = mode == "vertex"
-    if vertex:
-        # source: the out-half 2v+1; sink: the in-half of vertex 0
-        heads, to, cap0 = _vertex_split_network(adj)
-    else:
-        heads, to, cap0 = _edge_network(adj)
-        # _edge_network adds one arc pair per row entry w > u, in row order
-        ekey = [key for u, row in enumerate(rows) for w, key in row if w > u]
+    heads, to, cap0, keys = _flow_network(rows, vertex)
     flows = []
-    for rep, steps in orbits(len(adj), gens):
+    for rep, steps in orbits(len(rows), gens):
         if rep == 0 or rep in skip:
             continue
         cap = cap0.copy()
+        # the sink, node 0, is vertex 0 or its in-half
         source = 2 * rep + 1 if vertex else rep
         _max_flow_unit(heads, to, cap, source, 0, len(rows[rep]))
         paths = []
@@ -245,16 +221,11 @@ def _orbit_paths(adj, rows, mode, gens, skip=()):
             b = a
             while True:
                 cap[b] = 1
+                if keys[b] >= 0:
+                    path.append(keys[b])
                 u = to[b]
-                if vertex:
-                    if u == 0:
-                        break
-                    path.append(u >> 1)
-                    u += 1
-                else:
-                    path.append(ekey[b >> 1])
-                    if u == 0:
-                        break
+                if u == 0:
+                    break
                 b = next(c for c in heads[u] if cap0[c] and not cap[c])
             paths.append(tuple(path))
         flows.append((rep, steps, tuple(paths)))
@@ -263,7 +234,8 @@ def _orbit_paths(adj, rows, mode, gens, skip=()):
 
 def _connectivity(adj, mode, flows):
     """The vertex or edge connectivity of a vertex-transitive graph, from
-    the `flows` of `_orbit_paths` under vertex 0's stabilizer.
+    the `flows` of `_orbit_paths` under vertex 0's stabilizer; both are
+    for the caller to check (symmetry.check_automorphisms).
 
     Transitivity lets vertex 0 stand for every source, and a map that fixes
     vertex 0 keeps the path count of every vertex of an orbit.  So this is
@@ -280,20 +252,20 @@ def classical_connectivity(g: StarGraph) -> tuple[int, int]:
     """Exact (vertex, edge) connectivity by counting disjoint paths.
 
     One flow per orbit of the identity's stabilizer (see
-    symmetry.star_maps, whose generators are checked as automorphisms
-    first) stands in for the whole orbit: S6 takes 35 flow runs, not 1,429;
-    see _connectivity.  The vertex computation skips the neighbours (0 i),
-    which form one orbit.
+    symmetry.star_maps, checked to reach every vertex first) stands in for
+    the whole orbit: S6 takes 35 flow runs, not 1,429; see _connectivity.
+    The vertex computation skips the neighbours (0 i), which form one orbit.
     """
     if g.n < 2:
         raise InputError("connectivity needs n >= 2")
     adj = g.adjacency_lists()
-    gens = star_maps(adj)[0]
-    check_automorphisms(adj, gens)
+    maps = star_maps(adj)
+    if not check_automorphisms(adj, maps):
+        raise InvariantViolationError("the star maps do not reach every vertex")
     kappa = _connectivity(adj, "vertex", _orbit_paths(
-        adj, _keyed_rows(adj, "vertex")[0], "vertex", gens, set(adj[0])))
+        _keyed_rows(adj, "vertex")[0], "vertex", maps[0], set(adj[0])))
     lam = _connectivity(adj, "edge", _orbit_paths(
-        adj, _keyed_rows(adj, "edge")[0], "edge", gens))
+        _keyed_rows(adj, "edge")[0], "edge", maps[0]))
     return kappa, lam
 
 
@@ -404,14 +376,14 @@ def _path_family(rows, ground, mode, flows, maps=None):
 
     `flows` holds the paths of `_orbit_paths` from the smallest vertex of
     each orbit to vertex 0, for orbits under the generators `maps`[0] of
-    vertex 0's stabilizer (see symmetry.star_maps); `maps`[1] is a map that
-    moves vertex 0.  A map that fixes vertex 0 carries a maximum family of v
-    to one of its image, so every other member of an orbit takes the paths
-    of the member it was reached from, mapped (edge ids through their end
-    vertices).  With no maps every vertex is its own orbit.  In vertex mode
-    the moving map then carries the whole family to one whose sink is its
-    image of vertex 0, with no flow at all: a second sink for the bases that
-    remove vertex 0.
+    vertex 0's stabilizer (see symmetry.star_maps); `maps`[1][0] is a map
+    that moves vertex 0.  A map that fixes vertex 0 carries a maximum family
+    of v to one of its image, so every other member of an orbit takes the
+    paths of the member it was reached from, mapped (edge ids through their
+    end vertices).  With no maps every vertex is its own orbit.  In vertex
+    mode the moving map carries the whole family to one whose sink is its
+    image of vertex 0, with no flow at all: a second sink for the bases
+    that remove vertex 0.  The graph need not be vertex-transitive.
 
     Returns a list of families, or None when some vertex has fewer than
     two paths.  A family is (sink, hits, risk, high, width, first, keys).
@@ -427,7 +399,7 @@ def _path_family(rows, ground, mode, flows, maps=None):
     """
     N = len(rows)
     vertex = mode == "vertex"
-    gens, move = maps if maps is not None else ([], None)
+    gens, move = (maps[0], maps[1][0]) if maps is not None else ([], None)
     if vertex:
         keymaps = gens
     else:
@@ -447,11 +419,9 @@ def _path_family(rows, ground, mode, flows, maps=None):
     width = max(ground, N).bit_length() + 1
     families = [_lanes(0, paths, ground, width)]
     if vertex and move is not None:
-        back = [0] * N
-        for v, image in enumerate(move):
-            back[image] = v
-        moved = [tuple(tuple(map(move.__getitem__, path)) for path in paths[back[u]])
-                 for u in range(N)]
+        moved: list[tuple] = [()] * N
+        for v, vpaths in enumerate(paths):
+            moved[move[v]] = tuple(tuple(map(move.__getitem__, path)) for path in vpaths)
         families.append(_lanes(move[0], moved, ground, width))
     return families
 
@@ -709,10 +679,19 @@ def _construction_witness(g: StarGraph, k: int, mode: str, formula):
         return None
     cut = substar_isolating_cut(g.n, k, graph=g)
     witness = list(cut.t) if mode == "vertex" else [tuple(e) for e in cut.f]
+    return _judged(g, k, mode, witness, "constructed cut")
+
+
+def _judged(g: StarGraph, k: int, mode: str, witness, what: str):
+    """`witness` once the public verdict holds it a valid `mode` k-cut of g.
+    A malformed witness is a fault of this program, not of its input."""
     judge = is_k_vertex_cut if mode == "vertex" else is_k_edge_cut
-    verdict = judge(g, witness, k)
+    try:
+        verdict = judge(g, witness, k)
+    except InputError as exc:
+        raise InvariantViolationError(f"{what} is malformed: {exc}") from exc
     if not verdict.valid:
-        raise InvariantViolationError(f"constructed cut failed validation: {verdict.reason}")
+        raise InvariantViolationError(f"{what} failed validation: {verdict.reason}")
     return witness
 
 
@@ -724,12 +703,13 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     `formulas` run parallel to `ks`, and so does the returned list of
     outcomes.
 
-    `maps` are automorphisms of a vertex-transitive graph for the path
-    family (see _path_family), checked against `adj` first.  With them the
-    flows of `_orbit_paths` run once, before the walk and before any worker
-    forks: they build the family and give the connectivity (see
-    _connectivity), and the walk starts there, since smaller removals
-    cannot disconnect.  With no maps it starts at size 1.
+    `maps` are automorphisms for the path family (see _path_family), as
+    symmetry.star_maps gives them and symmetry.check_automorphisms checks
+    them against `adj`.  With them the flows of `_orbit_paths` run once,
+    before the walk and before any worker forks, and build the family.
+    When the maps also reach every vertex, the flows give the connectivity
+    (see _connectivity), and the walk starts there, since smaller removals
+    cannot disconnect.  Otherwise it starts at size 1.
 
     The scans, and the candidates they yield, do not depend on k: a
     disconnecting removal is valid for k exactly when its smallest
@@ -752,11 +732,12 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     global _WS
     rows, ground, edges = _keyed_rows(adj, mode)
     ws = _WS = _WorkerState(rows, ground, mode, deadline)
+    transitive = maps is not None and check_automorphisms(adj, maps)
     conn_lb = 1
     if maps is not None:
-        check_automorphisms(adj, maps[0] + [maps[1]])
-        flows = _orbit_paths(adj, rows, mode, maps[0])
-        conn_lb = _connectivity(adj, mode, flows)
+        flows = _orbit_paths(rows, mode, maps[0])
+        if transitive:
+            conn_lb = _connectivity(adj, mode, flows)
         ws.families = _path_family(rows, ground, mode, flows, maps)
     connected = _scan(ws, ())[0] == 1
     # a minimal disconnecting edge set is a bond only in a connected graph
@@ -780,7 +761,7 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 "odd sizes decided by boundary parity: every degree is even, so "
                 "minimal disconnecting edge sets have even size"
             )
-        if maps is not None:
+        if transitive:
             st.lower_bound = conn_lb
             st.notes.append(
                 f"sizes below {conn_lb} pruned: smaller removals cannot disconnect "
@@ -1054,9 +1035,10 @@ def _oracle(g: StarGraph, ks, mode: str, budget: SearchBudget | None,
     out every smaller cut (with no value: every cut below the formula, or
     every cut at all when there is no formula).  A missing value, or one
     above the formula, gives way to the validated construction at the
-    formula; on a tie the search keeps its own witness.  The result is
-    exact when proved with a value, no-cut-exists when proved without one,
-    and an upper bound otherwise.  A growth search never proves "no cut"
+    formula; on a tie the search keeps its own witness.  The public verdict
+    judges every witness but the construction again.  The result is exact
+    when proved with a value, no-cut-exists when proved without one, and an
+    upper bound otherwise.  A growth search never proves "no cut"
     while a formula exists, which would read as exact here: the substar X
     is itself an admissible side whose boundary equals the formula.
 
@@ -1064,8 +1046,8 @@ def _oracle(g: StarGraph, ks, mode: str, budget: SearchBudget | None,
     depends on k, runs once per k.  All ks share one wall-time window.
     Only here is the graph known to be a star: subset enumeration gets its
     automorphisms (symmetry.star_maps) for n <= 5, and with them the path
-    family and the max-flow bound, which holds only because the star graph
-    is vertex-transitive.
+    family and the max-flow bound, which holds only because the maps are
+    checked to reach every vertex.
     """
     if g.n < 2:
         raise InputError("cut searches need n >= 2")
@@ -1099,6 +1081,8 @@ def _oracle(g: StarGraph, ks, mode: str, budget: SearchBudget | None,
         st.completed = proved
         if formula is not None and (value is None or value > formula):
             value, witness = formula, construction
+        elif witness is not None:
+            _judged(g, k, mode, witness, "search witness")
         if not proved:
             kind = "upper-bound-only"
         else:

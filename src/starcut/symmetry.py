@@ -38,14 +38,17 @@ def read_map(adj, image0: int, slots) -> list[int]:
     return f
 
 
-def star_maps(adj) -> tuple[list[list[int]], list[int]]:
-    """(generators of vertex 0's stabilizer, a relabelling that sends
-    vertex 0 to vertex 1) for the star graph with adjacency `adj`.
+def star_maps(adj) -> tuple[list[list[int]], list[list[int]]]:
+    """(generators of vertex 0's stabilizer, relabellings that move vertex
+    0) for the star graph with adjacency `adj`.
 
     The generators are the conjugations by (1 2) and by (1 2 ... n-1): they
     move the first two slots, and every slot one place on.  Together they
     generate every sigma with sigma(0) = 0, the whole stabilizer.  The
-    relabelling keeps every slot.
+    relabellings keep every slot: by the symbols (n-1 n), which sends vertex
+    0 to vertex 1, and by (1 2).  The others keep the vertices whose first
+    symbol is 1 among themselves, so only with (1 2) do the maps reach
+    every vertex.
     """
     d = len(adj[0])
     gens = []
@@ -53,18 +56,25 @@ def star_maps(adj) -> tuple[list[list[int]], list[int]]:
         gens.append(read_map(adj, 0, [1, 0] + list(range(2, d))))
     if d >= 3:
         gens.append(read_map(adj, 0, list(range(1, d)) + [0]))
-    return gens, read_map(adj, 1, range(d))
+    return gens, [read_map(adj, 1, range(d)), read_map(adj, adj[0][0], range(d))]
 
 
-def check_automorphisms(adj, maps) -> None:
-    """Raise InvariantViolationError unless each map is a bijection of the
-    vertices that sends every arc of `adj` to an arc."""
+def check_automorphisms(adj, maps) -> bool:
+    """Whether the maps (gens, moves) reach every vertex from vertex 0, so
+    the graph is vertex-transitive.  Raises InvariantViolationError unless
+    each map is a bijection of the vertices that sends every arc of `adj`
+    to an arc, and each of `gens`, the stabilizer's generators, fixes 0.
+    """
+    gens, moves = maps
     N = len(adj)
     nbrs = [set(row) for row in adj]
-    for f in maps:
+    for f in gens + moves:
         if sorted(f) != list(range(N)) or any(
                 f[w] not in nbrs[f[u]] for u, row in enumerate(adj) for w in row):
             raise InvariantViolationError("a vertex map is not an automorphism of the graph")
+    if any(f[0] for f in gens):
+        raise InvariantViolationError("a stabilizer generator moves vertex 0")
+    return len(next(orbits(N, gens + moves))[1]) == N - 1
 
 
 def orbits(size: int, gens):

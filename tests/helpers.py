@@ -23,10 +23,9 @@ from starcut.oracle import (
     SearchStats,
     _WorkerState,
     _check_removal,
-    _edge_network,
+    _flow_network,
     _keyed_rows,
     _max_flow_unit,
-    _vertex_split_network,
 )
 
 
@@ -244,13 +243,13 @@ def connectivity_by_every_target(g):
     adj = g.adjacency_lists()
     nbrs = set(adj[0])
     others = range(1, g.num_vertices)
-    heads, to, cap0 = _vertex_split_network(adj)
+    heads, to, cap0, _ = _flow_network(_keyed_rows(adj, "vertex")[0], True)
     kappa = min(
         (_max_flow_unit(heads, to, cap0.copy(), 1, 2 * t, g.degree)
          for t in others if t not in nbrs),
         default=g.num_vertices - 1,
     )
-    heads, to, cap0 = _edge_network(adj)
+    heads, to, cap0, _ = _flow_network(_keyed_rows(adj, "edge")[0], False)
     lam = min(_max_flow_unit(heads, to, cap0.copy(), 0, t, g.degree) for t in others)
     return kappa, lam
 

@@ -104,7 +104,7 @@ def test_generator_orbits_equal_the_whole_stabilizer_orbits(n):
     brute = {}
     for v in range(len(adj)):
         brute.setdefault(uf.find(v), []).append(v)
-    gens, move = symmetry.star_maps(adj)
+    gens, (move, swap) = symmetry.star_maps(adj)
     built = []
     for rep, steps in symmetry.orbits(len(adj), gens):
         members = [rep] + [u for u, _, _ in steps]
@@ -113,10 +113,25 @@ def test_generator_orbits_equal_the_whole_stabilizer_orbits(n):
             assert gens[j][w] == u
         built.append(sorted(members))
     assert built == sorted(brute.values())
-    # the relabelling sends vertex 0 to vertex 1, and every map is an
-    # automorphism
-    assert move[0] == 1
-    symmetry.check_automorphisms(adj, gens + [move])
+    # the relabellings send vertex 0 to vertex 1 and to its first
+    # neighbour, and every map is an automorphism
+    assert (move[0], swap[0]) == (1, adj[0][0])
+    symmetry.check_automorphisms(adj, (gens, [move, swap]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_star_maps_are_automorphisms_with_one_vertex_orbit(n):
+    # from S3 on, the relabelling by (1 2) joins the vertices whose first
+    # symbol is 1, the orbit of vertex 0 under the other maps, to the rest
+    adj = StarGraph(n).adjacency_lists()
+    gens, moves = symmetry.star_maps(adj)
+    assert symmetry.check_automorphisms(adj, (gens, moves))
+    (rep, steps), = symmetry.orbits(len(adj), gens + moves)
+    assert rep == 0 and len(steps) == len(adj) - 1
+    if n >= 3:
+        assert not symmetry.check_automorphisms(adj, (gens, moves[:1]))
+        (rep, steps), *rest = symmetry.orbits(len(adj), gens + moves[:1])
+        assert len(steps) + 1 == len(adj) // n and rest
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -462,6 +477,24 @@ def test_searches_validate_the_construction_witness(s4, monkeypatch, strategy, m
     search = exact_kappa_super if mode == "vertex" else exact_lambda_super
     with pytest.raises(InvariantViolationError):
         search(s4, 1, budget=SearchBudget(strategy=strategy))
+
+
+@pytest.mark.parametrize("mode, k, value, witness", [
+    ("vertex", 1, 1, [0]),  # below the formula
+    ("edge", 1, 1, [(0, 6)]),
+    # not an edge: the fault is the search's, so no input error may blame
+    # the caller
+    ("edge", 1, 1, [(0, 1)]),
+    ("vertex", 1, 4, [0, 1, 2, 3]),  # a tie with the formula
+    ("vertex", 3, 1, [0]),  # no formula
+])
+def test_a_search_witness_the_verdict_refuses_is_never_reported(
+        s4, monkeypatch, mode, k, value, witness):
+    # every witness but the construction is judged by the public verdict
+    monkeypatch.setattr(oracle, "_growth_search", lambda *a: (True, value, witness))
+    search = exact_kappa_super if mode == "vertex" else exact_lambda_super
+    with pytest.raises(InvariantViolationError):
+        search(s4, k, budget=SearchBudget(strategy="component-growth"))
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])

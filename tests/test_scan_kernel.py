@@ -28,6 +28,7 @@ from starcut.oracle import (
     _WorkerState,
     _certified,
     _check_removal,
+    _flow_network,
     _keyed_rows,
     _orbit_paths,
     _path_family,
@@ -35,6 +36,8 @@ from starcut.oracle import (
     _subset_search,
 )
 from starcut.symmetry import star_maps
+
+from helpers import brute_min_k_cut
 
 nx = pytest.importorskip("networkx")
 
@@ -224,7 +227,7 @@ def _assert_skip_is_sound(ws, base, L, x_end):
 def _family_state(adj, mode, maps=None):
     # the path families as the subset walk builds them
     rows, ground, edges = _keyed_rows(adj, mode)
-    flows = _orbit_paths(adj, rows, mode, maps[0] if maps else [])
+    flows = _orbit_paths(rows, mode, maps[0] if maps else [])
     return _state(mode, rows, ground, _path_family(rows, ground, mode, flows, maps))
 
 
@@ -388,30 +391,30 @@ def test_path_family_runs_one_flow_per_orbit(monkeypatch, mode):
     monkeypatch.setattr(oracle, "_max_flow_unit", lambda *a: runs.append(a[3]) or real(*a))
     adj = StarGraph(5).adjacency_lists()
     rows, ground, edges = _keyed_rows(adj, mode)
-    _orbit_paths(adj, rows, mode, star_maps(adj)[0])
+    _orbit_paths(rows, mode, star_maps(adj)[0])
     assert len(runs) == 11
     runs.clear()
-    _orbit_paths(adj, rows, mode, [])
+    _orbit_paths(rows, mode, [])
     assert len(runs) == 119
 
 
 def _broken_maps(adj, broken, how):
     """star_maps(adj) as a list, with map number `broken` broken `how`."""
-    gens, move = star_maps(adj)
-    maps = [*gens, move]
+    gens, moves = star_maps(adj)
+    maps = [*gens, *moves]
     if how == "slots":
         swapped = [list(row) for row in adj]
         swapped[5][:2] = swapped[5][1::-1]
-        bad_gens, bad_move = star_maps(swapped)
-        maps[broken] = [*bad_gens, bad_move][broken]
+        bad_gens, bad_moves = star_maps(swapped)
+        maps[broken] = [*bad_gens, *bad_moves][broken]
     else:
         f = maps[broken] = maps[broken].copy()
         f[5], f[6] = f[6], f[5]
-    assert maps[broken] != [*gens, move][broken]
+    assert maps[broken] != [*gens, *moves][broken]
     return maps
 
 
-@pytest.mark.parametrize("broken", [0, 1, 2])
+@pytest.mark.parametrize("broken", [0, 1, 2, 3])
 @pytest.mark.parametrize("how", ["slots", "images"])
 def test_a_map_that_is_not_an_automorphism_stops_the_walk(broken, how):
     # star_maps reads each map off the slot order of the rows.  With two
@@ -423,20 +426,89 @@ def test_a_map_that_is_not_an_automorphism_stops_the_walk(broken, how):
     stats = [SearchStats(strategy="subset-enumeration", workers=1)]
     with pytest.raises(InvariantViolationError):
         _subset_search(adj, [1], "vertex", stats, None, None, 1, [4],
-                       (maps[:2], maps[2]))
+                       (maps[:2], maps[2:]))
 
 
-@pytest.mark.parametrize("broken", [0, 1])
+@pytest.mark.parametrize("broken", [0, 1, 2, 3])
 @pytest.mark.parametrize("how", ["slots", "images"])
 def test_a_map_that_is_not_an_automorphism_stops_classical_connectivity(
         monkeypatch, broken, how):
-    # the same breakages of the stabilizer's generators, the only maps the
-    # connectivity uses
+    # the same breakages: the flows use the stabilizer's generators, and
+    # the check that the maps reach every vertex uses them all
     g = StarGraph(4)
     maps = _broken_maps(g.adjacency_lists(), broken, how)
-    monkeypatch.setattr(oracle, "star_maps", lambda adj: (maps[:2], maps[2]))
+    monkeypatch.setattr(oracle, "star_maps", lambda adj: (maps[:2], maps[2:]))
     with pytest.raises(InvariantViolationError):
         classical_connectivity(g)
+
+
+def test_maps_that_do_not_reach_every_vertex_stop_classical_connectivity(monkeypatch):
+    # without the relabelling by (1 2) the maps leave two vertex orbits
+    gens, moves = star_maps(StarGraph(4).adjacency_lists())
+    monkeypatch.setattr(oracle, "star_maps", lambda adj: (gens, moves[:1]))
+    with pytest.raises(InvariantViolationError):
+        classical_connectivity(StarGraph(4))
+
+
+def test_maps_of_a_graph_that_is_not_vertex_transitive_start_the_walk_at_size_1():
+    # K_{1,3} with the swap of two leaves, which fixes the centre, and the
+    # identity as the map that should move vertex 0: both automorphisms,
+    # but they never move the centre, so its flows give no connectivity
+    # (read as |V| - 1 = 3, no non-neighbour of vertex 0).  The walk must
+    # still find the centre, a cut of size 1
+    adj = [(1, 2, 3), (0,), (0,), (0,)]
+    stats = [SearchStats(strategy="subset-enumeration", workers=1)]
+    (proved, value, witness), = _subset_search(
+        adj, [0], "vertex", stats, None, None, 1, [None], ([[0, 2, 1, 3]], [[0, 1, 2, 3]]))
+    edges = [(u, w) for u, row in enumerate(adj) for w in row if u < w]
+    assert (proved, value, witness) == (True, brute_min_k_cut(4, edges, 0, "vertex"), [0])
+    assert stats[0].pruned_sizes == [] and stats[0].lower_bound is None
+
+
+def test_a_stabilizer_generator_that_moves_vertex_0_stops_the_walk():
+    # passed as a generator of vertex 0's stabilizer, the relabelling to
+    # vertex 1 joins every vertex to vertex 0's orbit, which runs no flow:
+    # the walk would prune every size below a formula of 5 unseen, though
+    # S4 holds the valid 1-cut [0, 1, 8, 10] that the true maps find
+    adj = StarGraph(4).adjacency_lists()
+    gens, moves = star_maps(adj)
+    stats = [SearchStats(strategy="subset-enumeration", workers=1)]
+    assert _subset_search(adj, [1], "vertex", stats, None, None, 1, [5],
+                          (gens, moves)) == [(True, 4, [0, 1, 8, 10])]
+    with pytest.raises(InvariantViolationError):
+        _subset_search(adj, [1], "vertex", stats, None, None, 1, [5],
+                       (gens + moves[:1], moves))
+
+
+def _assert_network_invariant(adj, mode):
+    """Arc a ^ 1 runs back from the head of arc a, and only the arcs that
+    cross a removal key carry it: the split arc 2v -> 2v+1 in vertex mode,
+    both arcs of an edge in edge mode."""
+    rows, ground, edges = _keyed_rows(adj, mode)
+    vertex = mode == "vertex"
+    heads, to, cap0, keys = _flow_network(rows, vertex)
+    tail = {a: u for u, arcs in enumerate(heads) for a in arcs}
+    assert sorted(tail) == list(range(len(to))) == list(range(len(keys)))
+    for a, key in enumerate(keys):
+        u, w = tail[a], to[a]
+        assert to[a ^ 1] == u
+        if vertex:
+            assert key == (u // 2 if u % 2 == 0 and w == u + 1 else -1)
+        else:
+            assert edges[key] == (min(u, w), max(u, w))
+    assert {key for key in keys if key >= 0} == set(range(ground))
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_flow_network_arcs_carry_their_removal_keys_on_star_graphs(n, mode):
+    _assert_network_invariant(StarGraph(n).adjacency_lists(), mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_path_graphs(), st.sampled_from(["vertex", "edge"]))
+def test_flow_network_arcs_carry_their_removal_keys(adj, mode):
+    _assert_network_invariant(adj, mode)
 
 
 @pytest.mark.parametrize("mode, adj", [
