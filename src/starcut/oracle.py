@@ -28,6 +28,7 @@ anything truncated by budget is an upper bound.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -54,15 +55,17 @@ from .symmetry import (
 # attempted while the graph is small enough for them to finish in seconds.
 _FLOW_PREFILTER_MAX_N = 5
 _TABLE_SEARCH_MAX_N = 5
-# A subset-walk level forks the worker pool only when it plans at least this
-# many bases; a smaller level runs in the parent, where a fork costs more
-# than it saves.  Measured on S5 k=1, 1 worker against 2, fresh interpreters
-# on a 2-vCPU host: vertex mode is faster serial at 114,827 bases and faster
-# pooled at 154,078; edge mode is even at 53,431 and faster pooled at
-# 83,876.  The threshold lies between the two crossovers, so either mode
-# loses at most one pool start-up (about 0.1 s) in the band between.  The
-# benchmark and `table` levels plan at most 25,523 bases, and the unbudgeted
-# S5 walks 273,819 and more.
+# A subset-walk level forks the worker pool only when its groups hold at
+# least this many bases; a smaller level runs in the parent, where a fork
+# costs more than it saves.  A pooled level runs one task per group, the
+# largest first, so no large task is left to run alone at the end.
+# Measured on S5 k=1, 1 worker against 2, fresh interpreters on a 2-vCPU
+# host: vertex mode is faster serial at 114,827 bases and faster pooled at
+# 154,078; edge mode is even at 53,431 and faster pooled at 83,876.  The
+# threshold lies between the two crossovers, so either mode loses at most
+# one pool start-up (about 0.1 s) in the band between.  The benchmark and
+# `table` levels plan at most 25,523 bases, and the unbudgeted S5 walks
+# 273,819 and more.
 _POOL_MIN_BASES = 100_000
 DEFAULT_TABLE_MAX_NODES = 500_000
 
@@ -274,56 +277,42 @@ def classical_connectivity(g: StarGraph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _LevelPlan:
-    size: int
-    # (last element L, first base, base count, extension end): each base
-    # decides the extensions x with L < x < extension end
-    groups: list[tuple[int, int, int, int]]
-    bases_total: int
-    truncated: bool
-
-
-def _plan_level(ground: int, s: int, node_budget: int | None) -> _LevelPlan:
+def _plan_level(ground: int, s: int, node_budget: int | None):
     """Lay out the size-s level: bases grouped by their largest element.
 
-    Every size-s subset is decided exactly once, via the base formed by
-    dropping its largest member.  A node budget is a hard cap: the last
-    planned base decides only the extensions the budget has left, so the
-    plan is deterministic and independent of worker count.
+    Returns (groups, truncated).  A group (L, first base, base count,
+    extension end) is one task of `_run_task`: its bases are the size s-1
+    sets with largest element L, and each decides the extensions x with
+    L < x < extension end.  Every size-s subset is decided exactly once,
+    via the base formed by dropping its largest member.  A node budget is
+    a hard cap: the last planned base decides only the extensions the
+    budget has left, so the plan is deterministic and independent of
+    worker count.  Groups come in ascending L, and a full group holds
+    comb(L, s - 2) bases, so `_subset_search` dispatches them in reverse,
+    largest first.
     """
     groups: list[tuple[int, int, int, int]] = []
     decided = 0
-    bases = 0
     if node_budget is not None and node_budget <= 0:
-        return _LevelPlan(s, [], 0, True)
+        return groups, True
     if s == 1:
         if node_budget is not None and node_budget < ground:
-            return _LevelPlan(s, [(-1, 0, 1, node_budget)], 1, True)
-        return _LevelPlan(s, [(-1, 0, 1, ground)], 1, False)
+            return [(-1, 0, 1, node_budget)], True
+        return [(-1, 0, 1, ground)], False
     for L in range(s - 2, ground - 1):
         cnt = comb(L, s - 2)
         per = ground - 1 - L
         if node_budget is None or decided + cnt * per <= node_budget:
             groups.append((L, 0, cnt, ground))
             decided += cnt * per
-            bases += cnt
             continue
         q, r = divmod(node_budget - decided, per)
         if q:
             groups.append((L, 0, q, ground))
         if r:
             groups.append((L, q, 1, L + 1 + r))
-        return _LevelPlan(s, groups, bases + q + (r > 0), True)
-    return _LevelPlan(s, groups, bases, False)
-
-
-def _make_tasks(plan: _LevelPlan, workers: int, ks) -> list[tuple]:
-    """Slice the base sequence into (s, L, inner_start, count, x_end, ks) spans."""
-    chunk = min(max(512, plan.bases_total // max(1, workers * 6)), 65536)
-    return [(plan.size, L, first + off, min(chunk, cnt - off), x_end, ks)
-            for L, first, cnt, x_end in plan.groups
-            for off in range(0, cnt, chunk)]
+        return groups, True
+    return groups, False
 
 
 class _WorkerState:
@@ -371,7 +360,7 @@ def _keyed_rows(adj, mode):
     return rows, ground, [(u, w) for u, upper in enumerate(ids) for w in upper]
 
 
-def _path_family(rows, ground, mode, flows, maps=None):
+def _path_family(rows, ground, edges, flows, maps=None):
     """Disjoint paths from every vertex to a sink, indexed by key.
 
     `flows` holds the paths of `_orbit_paths` from the smallest vertex of
@@ -384,6 +373,7 @@ def _path_family(rows, ground, mode, flows, maps=None):
     mode the moving map carries the whole family to one whose sink is its
     image of vertex 0, with no flow at all: a second sink for the bases
     that remove vertex 0.  The graph need not be vertex-transitive.
+    `edges` is the edge list of `_keyed_rows`, None in vertex mode.
 
     Returns a list of families, or None when some vertex has fewer than
     two paths.  A family is (sink, hits, risk, high, width, first, keys).
@@ -398,16 +388,13 @@ def _path_family(rows, ground, mode, flows, maps=None):
     carries into the next.
     """
     N = len(rows)
-    vertex = mode == "vertex"
+    vertex = edges is None
     gens, move = (maps[0], maps[1][0]) if maps is not None else ([], None)
     if vertex:
         keymaps = gens
     else:
         arc_key = {(u, w): key for u, row in enumerate(rows) for w, key in row}
-        ends = [None] * ground
-        for (u, w), key in arc_key.items():
-            ends[key] = (u, w)
-        keymaps = [[arc_key[f[u], f[w]] for u, w in ends] for f in gens]
+        keymaps = [[arc_key[f[u], f[w]] for u, w in edges] for f in gens]
     paths: list[tuple] = [()] * N
     for rep, steps, found in flows:
         if len(found) < 2:
@@ -627,7 +614,7 @@ def _settle(ks, bests, reach, removal, mind):
 
 
 def _run_task(task):
-    """Decide every subset covered by a span of bases; see _plan_level.
+    """Decide every subset covered by one group of bases; see _plan_level.
 
     Returns (nodes, checked, smallest valid removal or None for each of the
     ascending `ks`, expired)."""
@@ -723,12 +710,14 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     In edge mode on a connected graph whose degrees are all even, an odd
     size holds no new minimum (see the parity lemma at the skip), so it is
     pruned with no nodes spent; every size the walk decides is planned by
-    `_plan_level` and decided by `_run_task`.
+    `_plan_level` and decided by `_run_task`, one task per planned group,
+    largest group first.
 
-    With `workers` > 1 a level runs on the worker pool only when it plans
-    at least _POOL_MIN_BASES bases, and the pool is forked at the first
-    such level; every smaller level runs in-process, so a walk without one
-    forks nothing.  Results do not depend on where a level runs."""
+    With `workers` > 1 a level runs on the worker pool only when its groups
+    hold at least _POOL_MIN_BASES bases, and the pool is forked at the
+    first such level and torn down when the walk returns or raises; every
+    smaller level runs in-process, so a walk without one forks nothing.
+    Results do not depend on where a level runs or on the task order."""
     global _WS
     rows, ground, edges = _keyed_rows(adj, mode)
     ws = _WS = _WorkerState(rows, ground, mode, deadline)
@@ -738,7 +727,7 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
         flows = _orbit_paths(rows, mode, maps[0])
         if transitive:
             conn_lb = _connectivity(adj, mode, flows)
-        ws.families = _path_family(rows, ground, mode, flows, maps)
+        ws.families = _path_family(rows, ground, edges, flows, maps)
     connected = _scan(ws, ())[0] == 1
     # a minimal disconnecting edge set is a bond only in a connected graph
     parity = mode == "edge" and connected and all(len(row) % 2 == 0 for row in rows)
@@ -800,7 +789,7 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
             outcomes[i] = (True, None, None)
 
     pool = None
-    try:
+    with contextlib.ExitStack() as stack:
         for s in itertools.count(conn_lb):
             for i, max_size in walking:
                 if max_size < s:
@@ -831,15 +820,16 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
 
             wks = [ks[i] for i, _ in walking]
             best: list = [None] * len(wks)
-            plan = _plan_level(ground, s, remaining)
-            truncated = plan.truncated
-            tasks = _make_tasks(plan, workers, wks)
-            if workers > 1 and len(tasks) > 1 and plan.bases_total >= _POOL_MIN_BASES:
+            groups, truncated = _plan_level(ground, s, remaining)
+            tasks = [(s, *group, wks) for group in reversed(groups)]
+            if workers > 1 and sum(group[2] for group in groups) >= _POOL_MIN_BASES:
                 if pool is None:
                     import multiprocessing
 
-                    ctx = multiprocessing.get_context("fork")
-                    pool = ctx.Pool(workers)
+                    # leaving the block terminates and joins the pool, so
+                    # an error or interrupt does not wait for queued tasks
+                    pool = stack.enter_context(
+                        multiprocessing.get_context("fork").Pool(workers))
                 # unordered, so a failing task raises at once; the fold
                 # below does not depend on the order
                 results = pool.imap_unordered(_run_task, tasks)
@@ -858,15 +848,6 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 if b is not None or truncated:
                     leave(i, truncated, b)
             walking = [w for w in walking if outcomes[w[0]] is None]
-    except BaseException:
-        # an error or interrupt must not wait for the queued tasks
-        if pool is not None:
-            pool.terminate()
-        raise
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
 
     return outcomes
 

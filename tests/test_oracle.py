@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import multiprocessing
+import signal
 import time
 from math import factorial
 
@@ -300,10 +301,15 @@ def test_node_budget_is_a_hard_cap(s5, monkeypatch):
 
 
 def _raise_first_then_sleep(task):
-    """A stand-in for oracle._run_task: the first span fails, the rest hang."""
-    s, L = task[0], task[1]
-    if L == s - 2:
+    """A stand-in for oracle._run_task on S4 k=1 vertex, which walks size 3
+    alone: the first task dispatched, the largest group (L = 22), fails, and
+    the rest hang."""
+    if task[1] == 22:
         raise RuntimeError("task failed")
+    time.sleep(30)
+
+
+def _sleep(task):
     time.sleep(30)
 
 
@@ -315,6 +321,28 @@ def test_failing_task_tears_the_pool_down(s4, monkeypatch):
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="task failed"):
         exact_kappa_super(s4, 1, workers=2)
+    assert time.monotonic() - t0 < 10
+    assert not multiprocessing.active_children()
+
+
+def test_interrupt_tears_the_pool_down(s4, monkeypatch):
+    # Ctrl-C while every worker is busy: the walk must raise at once and
+    # leave no worker behind
+    monkeypatch.setattr(oracle, "_POOL_MIN_BASES", 0)
+    monkeypatch.setattr(oracle, "_run_task", _sleep)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.monotonic()
+    signal.alarm(1)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            exact_kappa_super(s4, 1, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - t0 < 10
     assert not multiprocessing.active_children()
 
@@ -343,8 +371,36 @@ def test_certification_levels_plan_enough_bases_for_the_pool():
     # level 4 are where their time goes
     vertices = factorial(5)
     edges = vertices * 4 // 2
-    assert oracle._plan_level(vertices, 5, None).bases_total >= oracle._POOL_MIN_BASES
-    assert oracle._plan_level(edges, 4, None).bases_total >= oracle._POOL_MIN_BASES
+    for ground, s in ((vertices, 5), (edges, 4)):
+        groups, _ = oracle._plan_level(ground, s, None)
+        assert sum(group[2] for group in groups) >= oracle._POOL_MIN_BASES
+
+
+def _decided_by_plan(monkeypatch, ground, s, budget):
+    """Run `_run_task` over every task of one planned level, with every
+    extension a candidate; returns (removals checked, nodes, truncated)."""
+    decided = []
+    monkeypatch.setattr(oracle, "_WS", oracle._WorkerState([()] * ground, ground, "edge"))
+    monkeypatch.setattr(oracle, "_scan", lambda ws, base: (2, ()))
+    monkeypatch.setattr(oracle, "_check_removal",
+                        lambda ws, removal: decided.append(removal) or (False, 0))
+    groups, truncated = oracle._plan_level(ground, s, budget)
+    nodes = sum(oracle._run_task((s, *group, [1]))[0] for group in groups)
+    return decided, nodes, truncated
+
+
+@pytest.mark.parametrize("ground", range(1, 9))
+def test_plan_decides_every_subset_once(monkeypatch, ground):
+    for s in range(1, ground + 1):
+        every = list(itertools.combinations(range(ground), s))
+        decided, nodes, truncated = _decided_by_plan(monkeypatch, ground, s, None)
+        assert sorted(decided) == every and nodes == len(every) and not truncated
+        for budget in range(1, len(every) + 2):
+            decided, nodes, truncated = _decided_by_plan(monkeypatch, ground, s, budget)
+            want = min(budget, len(every))
+            assert len(set(decided)) == len(decided) == nodes == want, (s, budget)
+            assert set(decided) <= set(every)
+            assert truncated == (budget < len(every)), (s, budget)
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])

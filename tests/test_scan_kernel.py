@@ -228,7 +228,7 @@ def _family_state(adj, mode, maps=None):
     # the path families as the subset walk builds them
     rows, ground, edges = _keyed_rows(adj, mode)
     flows = _orbit_paths(rows, mode, maps[0] if maps else [])
-    return _state(mode, rows, ground, _path_family(rows, ground, mode, flows, maps))
+    return _state(mode, rows, ground, _path_family(rows, ground, edges, flows, maps))
 
 
 @settings(max_examples=600, deadline=None)
