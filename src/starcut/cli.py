@@ -55,6 +55,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 TABLE_HEADER = "n,k,formula,construction_ok,oracle_kind,oracle_value,agree"
 
@@ -558,6 +559,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

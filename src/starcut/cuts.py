@@ -357,27 +357,44 @@ def sample_connected_subgraph(g: StarGraph, rng, size: int) -> list[int]:
 
     Repeatedly absorbs a uniformly chosen boundary vertex until the target
     size is reached (or the whole graph is absorbed).  Used to sample the
-    universally quantified properties; the distribution does not matter.
-    One set holds the chosen and the boundary vertices alike, since a
-    neighbour joins the boundary only when it is in neither.
+    universally quantified properties; the distribution does not matter,
+    but `check`'s goldens pin the stream.  Each boundary index is drawn as
+    ``rng.randrange(len(boundary))`` draws it (the rejection loop of
+    ``Random._randbelow_with_getrandbits``, with the same ``getrandbits``
+    calls), so the sets and the generator's final state equal those of a
+    sampler that calls ``randrange``; the tests pin both against one.  One
+    byte per vertex marks the chosen and the boundary vertices alike, since
+    a neighbour joins the boundary only when it is in neither.
     """
     if size < 1:
         raise InputError("sample size must be >= 1")
-    randrange, row = rng.randrange, g._row
-    start = randrange(g.num_vertices)
+    getrandbits, row = rng.getrandbits, g._row
+    start = rng.randrange(g.num_vertices)
+    marked = bytearray(g.num_vertices)
+    marked[start] = 1
+    chosen = [start]
     boundary = list(row(start))
-    seen = {start, *boundary}
-    chosen = 1
-    while boundary and chosen < size:
-        idx = randrange(len(boundary))
-        v = boundary[idx]
-        boundary[idx] = boundary[-1]
-        boundary.pop()
-        chosen += 1
-        fresh = [w for w in row(v) if w not in seen]
-        seen.update(fresh)
-        boundary += fresh
-    return sorted(seen.difference(boundary))
+    for w in boundary:
+        marked[w] = 1
+    absorb, push, pop = chosen.append, boundary.append, boundary.pop
+    left = size - 1
+    while boundary and left:
+        m = len(boundary)
+        b = m.bit_length()
+        i = getrandbits(b)
+        while i >= m:
+            i = getrandbits(b)
+        v = boundary[i]
+        boundary[i] = boundary[-1]
+        pop()
+        absorb(v)
+        left -= 1
+        for w in row(v):
+            if not marked[w]:
+                marked[w] = 1
+                push(w)
+    chosen.sort()
+    return chosen
 
 
 def sample_min_degree_subgraphs(g: StarGraph, k: int, draws: int, rng):

@@ -825,11 +825,22 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
             if workers > 1 and sum(group[2] for group in groups) >= _POOL_MIN_BASES:
                 if pool is None:
                     import multiprocessing
+                    import signal
 
                     # leaving the block terminates and joins the pool, so
-                    # an error or interrupt does not wait for queued tasks
-                    pool = stack.enter_context(
-                        multiprocessing.get_context("fork").Pool(workers))
+                    # an error or interrupt does not wait for queued tasks.
+                    # Ctrl-C is held back while the pool forks: one that
+                    # struck between a fork and the pool's record of the
+                    # new worker would leave a worker nothing terminates.
+                    # The workers and the pool's threads inherit the hold
+                    # and keep it, so only the parent takes the interrupt,
+                    # once the block owns the pool
+                    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                    try:
+                        pool = stack.enter_context(
+                            multiprocessing.get_context("fork").Pool(workers))
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, held)
                 # unordered, so a failing task raises at once; the fold
                 # below does not depend on the order
                 results = pool.imap_unordered(_run_task, tasks)

@@ -105,7 +105,9 @@ def induced_min_degree_by_full_walk(g, X):
 
 def sample_connected_subgraph_reference(g, rng, size):
     """The connected sampler with separate chosen and boundary sets, as it
-    was before it kept one set for both; same RNG calls, same result."""
+    was before it kept one set for both.  It calls ``rng.randrange`` for
+    every draw, so it is the oracle for the library's ``getrandbits`` draw:
+    same RNG calls, same result."""
     start = rng.randrange(g.num_vertices)
     chosen = {start}
     boundary = []
@@ -125,6 +127,22 @@ def sample_connected_subgraph_reference(g, rng, size):
                 boundary.append(w)
                 in_boundary.add(w)
     return sorted(chosen)
+
+
+def sample_min_degree_subgraphs_reference(g, k, draws, rng):
+    """`sample_min_degree_subgraphs` over the reference sampler and the
+    full-walk degree count, drawing its sizes with the same RNG calls."""
+    N = g.num_vertices
+    out = []
+    for _ in range(draws):
+        if rng.random() < 0.5:
+            size = max(k + 1, N - rng.randrange(0, 4 * g.n + 1))
+        else:
+            size = rng.randrange(k + 1, N + 1)
+        xs = sample_connected_subgraph_reference(g, rng, size)
+        if induced_min_degree_by_full_walk(g, xs) >= k:
+            out.append(xs)
+    return out, draws
 
 
 class UnionFind:

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -353,3 +354,44 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("when", ["forking", "walking"])
+def test_ctrl_c_ends_a_forking_walk_with_one_line(when):
+    # S5 k=1 vertex forks its pool for level 4 at once and walks for
+    # seconds.  A terminal's Ctrl-C sends SIGINT to the whole process group.
+    # "forking" sends it as soon as the first worker exists, while the pool
+    # may still be forking; "walking" waits, and sends it to the workers
+    # first, since the parent tears the pool down so fast that a worker's
+    # own traceback may not get printed
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starcut", "oracle", "5", "1", "--mode", "vertex",
+         "--threads", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        children = pathlib.Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 10
+        while len(workers := children.read_text().split()) < (1 if when == "forking" else 2):
+            assert time.monotonic() < deadline, "no pool was forked"
+        if when == "walking":
+            time.sleep(0.5)  # let the workers start on their tasks
+            for pid in workers:
+                os.kill(int(pid), signal.SIGINT)
+            time.sleep(0.5)
+            # a worker that died would have been replaced under a new pid
+            assert children.read_text().split() == workers
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+            left = True
+        except ProcessLookupError:
+            left = False
+        proc.wait()
+    assert proc.returncode == 130
+    assert err == "interrupted\n"
+    assert not left, "a process was left in the walk's group"

@@ -23,7 +23,12 @@ from starcut import (
     witness_position,
 )
 from starcut.core import _iso_problem, induced_min_degree, perm_unrank
-from helpers import rank_of, ranks_of, sample_connected_subgraph_reference
+from helpers import (
+    rank_of,
+    ranks_of,
+    sample_connected_subgraph_reference,
+    sample_min_degree_subgraphs_reference,
+)
 
 
 def test_construction_n4_k1(s4):
@@ -215,20 +220,39 @@ def test_sampler_yields_connected_sets(s5):
 
 
 @pytest.mark.parametrize("mode", ["materialized", "implicit"])
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_sampler_matches_the_reference(n, mode):
+    # the sampler draws its boundary indices with getrandbits as randrange
+    # does; the reference calls randrange, so equal sets and equal final
+    # states pin the draw, its bit count and its rejection loop
     g = StarGraph(n, mode=mode)
     total = g.num_vertices
     sizes = random.Random(n)
-    for seed in range(50):
-        # small, middling and near-total targets, as check draws them
-        size = sizes.choice([sizes.randrange(1, 10), sizes.randrange(1, total + 1),
-                             total - sizes.randrange(0, 4 * n + 1), total + 5])
+    for seed in range(50 if n < 7 else 4):
+        # small, middling and near-total targets, as check draws them; on
+        # S7 only near-total ones, whose boundary grows to about 2,700
+        # vertices and shrinks again, through every power of two below it
+        if n < 7:
+            size = sizes.choice([sizes.randrange(1, 10), sizes.randrange(1, total + 1),
+                                 total - sizes.randrange(0, 4 * n + 1), total + 5])
+        else:
+            size = total - sizes.randrange(0, 4 * n + 1)
         ours, ref = random.Random(seed), random.Random(seed)
         got = sample_connected_subgraph(g, ours, size)
         assert got == sample_connected_subgraph_reference(g, ref, size), (seed, size)
         assert ours.getstate() == ref.getstate(), (seed, size)
         assert type(got) is list and len(got) == min(size, total)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_min_degree_sampler_matches_the_reference(n):
+    # check's sampled suite: k = 1..3 from one generator, in this order
+    g = StarGraph(n)
+    ours, ref = random.Random(n), random.Random(n)
+    for k in range(1, 4):
+        got = sample_min_degree_subgraphs(g, k, 40, ours)
+        assert got == sample_min_degree_subgraphs_reference(g, k, 40, ref), k
+        assert ours.getstate() == ref.getstate(), k
 
 
 def test_min_degree_sampler_input_checks(s4):
