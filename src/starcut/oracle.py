@@ -889,6 +889,11 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
     truncating back to `end` afterwards restores the parent's.  The path
     lives on an explicit frame stack, so the depth is bounded only by
     |V|/2, not by the interpreter's recursion limit.
+
+    A state is counted and scored from the added vertex's row before
+    anything changes, and joins the walk only when it has children to
+    visit or its witness cut must be read off `sub`; most states have
+    neither and cost one pass over a row.
     """
     N = len(adj)
     rows, ground, edges = _keyed_rows(adj, mode)
@@ -914,7 +919,6 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
         if i < end:
             w = ext[i]
             i += 1
-            frames.append((i, end))
         elif sub:
             # the current state is spent: take its vertex out again
             v = sub.pop()
@@ -941,33 +945,29 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
             # the path is empty, so ext is too and i == end == 0
             w = anchor = root
             root += 1
-            frames.append((0, 0))
         else:
             break
 
-        # add w: c of its edges turn internal, the rest join the boundary,
-        # and its neighbours that no member touches join it too; those above
-        # the anchor extend the new state
-        in_sub[w] = 1
-        sub.append(w)
+        # the state sub + w, read off w's row before anything changes: c of
+        # its edges turn internal, the rest join the edge boundary, and its
+        # neighbours that no member touches join the vertex boundary; a
+        # fresh one above the anchor gives the state a child
         row = adj[w]
         c = nbr_cnt[w]
-        cut_edges += len(row) - 2 * c
-        if c < k:
-            below_k += 1
-        if c:
-            boundary -= 1
+        short = below_k + (c < k)
+        nb = boundary - (c > 0)
+        ne = cut_edges + len(row) - 2 * c
+        fresh = False
         for u in row:
-            c = nbr_cnt[u]
+            cu = nbr_cnt[u]
             if in_sub[u]:
-                if c == k - 1:
-                    below_k -= 1
-            elif c == 0:
-                boundary += 1
+                if cu == k - 1:
+                    short -= 1
+            elif not cu:
+                nb += 1
                 if u > anchor:
-                    ext.append(u)
-            nbr_cnt[u] = c + 1
-        end = len(ext)
+                    fresh = True
+        size = len(sub) + 1
 
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
@@ -977,24 +977,44 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
                 and time.monotonic() > deadline:
             truncated = True
             break
-        b = boundary if vertex else cut_edges
-        if not below_k and len(sub) > k and b:
+        b = nb if vertex else ne
+        # none short of k inner neighbours implies at least k + 1 members
+        scored = False
+        if not short and b:
             if b < lb:
                 lb = b
-            if b < ub:
-                # the neighborhood, or the boundary's edge ids; ids follow
-                # sorted (u, w) order, so the edge witness comes out sorted
-                cut = sorted({key for u in sub for w, key in rows[u] if not in_sub[w]})
-                disconnected, mind = _check_removal(ws, cut)
-                if disconnected and mind >= k:
-                    ub = b
-                    witness = cut if vertex else [edges[e] for e in cut]
+            scored = b < ub
         # skip the children of a state at the cap, and of one whose
         # descendants can never beat the incumbent because the bound below
         # exceeds it; skipped descendants therefore cannot hold the class
-        # minimum either
-        if len(sub) == cap or b - (cap - len(sub)) * shrink > ub:
-            i = end
+        # minimum either.  A state with no child to visit and no witness
+        # cut to read is never added, so it leaves nothing to undo
+        if not scored and (size == cap or b - (cap - size) * shrink > ub
+                           or i == end and not fresh):
+            continue
+
+        # add w; its fresh neighbours above the anchor extend the new state
+        frames.append((i, end))
+        in_sub[w] = 1
+        sub.append(w)
+        below_k, boundary, cut_edges = short, nb, ne
+        for u in row:
+            cu = nbr_cnt[u]
+            if not cu and u > anchor and not in_sub[u]:
+                ext.append(u)
+            nbr_cnt[u] = cu + 1
+        end = len(ext)
+        if scored:
+            # the neighborhood, or the boundary's edge ids; ids follow
+            # sorted (u, w) order, so the edge witness comes out sorted
+            cut = sorted({key for u in sub for w, key in rows[u] if not in_sub[w]})
+            disconnected, mind = _check_removal(ws, cut)
+            if disconnected and mind >= k:
+                ub = b
+                witness = cut if vertex else [edges[e] for e in cut]
+            # b <= ub still, so only the cap can cut a scored state off
+            if size == cap:
+                i = end
 
     stats.nodes = nodes
     stats.lower_bound = None if lb is inf else lb
