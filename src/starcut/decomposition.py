@@ -10,8 +10,10 @@ perfect matching and to each other by nothing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
+from operator import itemgetter
 
 from .core import (
     InputError,
@@ -132,6 +134,57 @@ class SymbolPartitionReport:
     problems: list[str] = field(default_factory=list)
 
 
+def _check_parts(g: StarGraph, parts, j: int = 0, i: int = 0):
+    """Size problems, iso_ok and isomorphism problems of the parts of a split
+    fixing position j or symbol i (each part's key is the other index).  A
+    member not carrying its part's index fails the part instead of raising."""
+    expected_size = factorial(g.n - 1)
+    small = StarGraph(g.n - 1) if g.n > 1 else None  # S_1's symbol split has no parts
+    sized, iso_ok, isos = [], {}, []
+    for key, vs in parts.items():
+        if len(vs) != expected_size:
+            sized.append(f"part {key} has {len(vs)} vertices, expected {expected_size}")
+        try:
+            problem = _iso_problem(g, small, vs, relabel_to_smaller_star(g, vs, j or key, i or key))
+        except InputError as exc:
+            problem = str(exc)
+        iso_ok[key] = problem is None
+        if problem:
+            isos.append(f"part {key}: {problem}")
+    return sized, iso_ok, isos
+
+
+def _blocks(g: StarGraph, classes: dict[int, list[int]]) -> list[int]:
+    """block[v] is the key of v's class, 0 for a vertex in none."""
+    block = [0] * g.num_vertices
+    for key, vs in classes.items():
+        for v in vs:
+            block[v] = key
+    return block
+
+
+def _census(g: StarGraph, block: list[int]):
+    """The edges inside each block, the edges between each pair of blocks
+    (keyed both ways), and for each ordered pair (a, b) of distinct blocks
+    the number of vertices of a with a neighbour in b, from one walk over
+    the rows of g.  A pair's edges form a matching exactly when their count
+    equals the vertices touched on each side.  Only arcs that leave their
+    block are listed: a star graph's rows are symmetric and hold g.degree
+    neighbours each, so arcs from a into b count their edges once, and the
+    other arcs from a count the edges inside a twice."""
+    m = max(block) + 1  # pair (a, b) is keyed a * m + b: an int hashes faster than a tuple
+    crossing = [(a * m + b, u) for u, a in enumerate(block)
+                for w in g._row(u) if (b := block[w]) != a]
+
+    def by_pair(arcs):
+        return Counter({divmod(k, m): c for k, c in Counter(map(itemgetter(0), arcs)).items()})
+
+    between, touch = by_pair(crossing), by_pair(set(crossing))
+    inside = {a: (g.degree * size - sum(c for (x, _), c in between.items() if x == a)) // 2
+              for a, size in Counter(block).items()}
+    return inside, between, touch
+
+
 def validate_dimension_partition(g: StarGraph, j: int) -> DimensionPartitionReport:
     """Check the fixed-position split: n smaller stars, matched pairwise.
 
@@ -140,57 +193,25 @@ def validate_dimension_partition(g: StarGraph, j: int) -> DimensionPartitionRepo
     (n-2)! pairwise vertex-disjoint edges.
     """
     dp = partition_by_dimension(g, j)
-    n = g.n
-    problems: list[str] = []
+    problems, iso_ok, isos = _check_parts(g, dp.parts, j=j)
     part_sizes = {i: len(vs) for i, vs in dp.parts.items()}
-    expected_size = factorial(n - 1)
-    for i, size in part_sizes.items():
-        if size != expected_size:
-            problems.append(f"part {i} has {size} vertices, expected {expected_size}")
     covered = sum(part_sizes.values())
     if covered != g.num_vertices:
         problems.append(f"parts cover {covered} vertices of {g.num_vertices}")
+    problems += isos
 
-    small = StarGraph(n - 1) if n >= 2 else None
-    iso_ok: dict[int, bool] = {}
-    for i, vs in dp.parts.items():
-        problem = _iso_problem(g, small, vs, relabel_to_smaller_star(g, vs, j, i))
-        iso_ok[i] = problem is None
-        if problem:
-            problems.append(f"part {i}: {problem}")
-
-    expected_cross = factorial(n - 2) if n >= 2 else 0
-    pair_edge_counts: dict[tuple[int, int], int] = {}
-    block = [0] * g.num_vertices
-    for i, vs in dp.parts.items():
-        for v in vs:
-            block[v] = i
-    # every pair's edges from one walk over the rows
-    crossing = {(i1, i2): [] for i1 in dp.parts for i2 in dp.parts if i1 < i2}
-    for u in range(g.num_vertices):
-        bu = block[u]
-        for w in g._row(u):
-            bw = block[w]
-            if w > u and bw != bu:
-                crossing[(bu, bw) if bu < bw else (bw, bu)].append((u, w))
-    for (i1, i2), es in crossing.items():
-        pair_edge_counts[(i1, i2)] = len(es)
-        if len(es) != expected_cross:
-            problems.append(
-                f"parts ({i1},{i2}) joined by {len(es)} edges, expected {expected_cross}"
-            )
-        ends = [v for e in es for v in e]
-        if len(set(ends)) != len(ends):
-            problems.append(f"edges between parts ({i1},{i2}) are not disjoint")
-    return DimensionPartitionReport(
-        n=n,
-        j=j,
-        ok=not problems,
-        part_sizes=part_sizes,
-        iso_ok=iso_ok,
-        pair_edge_counts=pair_edge_counts,
-        problems=problems,
-    )
+    _, between, touch = _census(g, _blocks(g, dp.parts))
+    expected_cross = factorial(g.n - 2)
+    pair_edge_counts = {}
+    for a, b in [(a, b) for a in dp.parts for b in dp.parts if a < b]:
+        count = pair_edge_counts[a, b] = between[a, b]
+        if count != expected_cross:
+            problems.append(f"parts ({a},{b}) joined by {count} edges, expected {expected_cross}")
+        if not count == touch[a, b] == touch[b, a]:
+            problems.append(f"edges between parts ({a},{b}) are not disjoint")
+    return DimensionPartitionReport(n=g.n, j=j, ok=not problems, part_sizes=part_sizes,
+                                    iso_ok=iso_ok, pair_edge_counts=pair_edge_counts,
+                                    problems=problems)
 
 
 def validate_symbol_partition(g: StarGraph, i: int) -> SymbolPartitionReport:
@@ -202,80 +223,38 @@ def validate_symbol_partition(g: StarGraph, i: int) -> SymbolPartitionReport:
     joined at all.
     """
     sp = partition_by_symbol(g, i)
-    n = g.n
+    expected_size = factorial(g.n - 1)
     problems: list[str] = []
-    expected_size = factorial(n - 1)
     if len(sp.center) != expected_size:
         problems.append(f"center has {len(sp.center)} vertices, expected {expected_size}")
+    sized, iso_ok, isos = _check_parts(g, sp.parts, i=i)
+    problems += sized
+    block = _blocks(g, {1: sp.center, **sp.parts})
+    covered = g.num_vertices - block.count(0)
+    if covered != g.num_vertices:
+        problems.append(f"classes cover {covered} vertices of {g.num_vertices}")
+    problems += isos
 
-    block = {}  # vertex -> 1 for center, j for part j
-    for v in sp.center:
-        block[v] = 1
-    for j, vs in sp.parts.items():
-        if len(vs) != expected_size:
-            problems.append(f"part {j} has {len(vs)} vertices, expected {expected_size}")
-        for v in vs:
-            block[v] = j
-    if len(block) != g.num_vertices:
-        problems.append(f"classes cover {len(block)} vertices of {g.num_vertices}")
-
-    small = StarGraph(n - 1) if n >= 2 else None
-    iso_ok: dict[int, bool] = {}
-    for j, vs in sp.parts.items():
-        problem = _iso_problem(g, small, vs, relabel_to_smaller_star(g, vs, j, i))
-        iso_ok[j] = problem is None
-        if problem:
-            problems.append(f"part {j}: {problem}")
-
-    center_edges = 0
-    part_pair_edges = 0
-    center_to_part: dict[int, list[tuple[int, int]]] = {j: [] for j in sp.parts}
-    for u in range(g.num_vertices):
-        bu = block[u]
-        for w in g._row(u):
-            if w < u:
-                continue
-            bw = block[w]
-            if bu == bw:
-                if bu == 1:
-                    center_edges += 1
-            elif bu == 1 or bw == 1:
-                center_to_part[bw if bu == 1 else bu].append((u, w))
-            else:
-                part_pair_edges += 1
+    inside, between, touch = _census(g, block)
+    center_edges = inside.get(1, 0)
+    part_pair_edges = sum(count for (a, b), count in between.items() if 1 < a < b)
     if center_edges:
         problems.append(f"center induces {center_edges} edges, expected none")
     if part_pair_edges:
         problems.append(f"{part_pair_edges} edges join distinct non-center classes")
-
     matching_sizes: dict[int, int] = {}
     matching_saturates: dict[int, bool] = {}
-    center_set = set(sp.center)
-    for j, es in center_to_part.items():
-        matching_sizes[j] = len(es)
-        center_ends = {u if u in center_set else w for u, w in es}
-        part_ends = {w if u in center_set else u for u, w in es}
-        saturates = (
-            len(es) == expected_size
-            and len(center_ends) == expected_size
-            and len(part_ends) == expected_size
-        )
-        matching_saturates[j] = saturates
+    for j in sp.parts:
+        count = matching_sizes[j] = between[1, j]
+        saturates = matching_saturates[j] = count == touch[1, j] == touch[j, 1] == expected_size
         if not saturates:
             problems.append(
-                f"center to part {j}: {len(es)} edges over {len(center_ends)} center "
-                f"and {len(part_ends)} part vertices, expected a perfect matching "
+                f"center to part {j}: {count} edges over {touch[1, j]} center "
+                f"and {touch[j, 1]} part vertices, expected a perfect matching "
                 f"of size {expected_size}"
             )
     return SymbolPartitionReport(
-        n=n,
-        i=i,
-        ok=not problems,
-        center_size=len(sp.center),
-        center_edge_count=center_edges,
-        iso_ok=iso_ok,
-        matching_sizes=matching_sizes,
-        matching_saturates=matching_saturates,
-        part_pair_edge_count=part_pair_edges,
-        problems=problems,
-    )
+        n=g.n, i=i, ok=not problems, center_size=len(sp.center),
+        center_edge_count=center_edges, iso_ok=iso_ok, matching_sizes=matching_sizes,
+        matching_saturates=matching_saturates, part_pair_edge_count=part_pair_edges,
+        problems=problems)

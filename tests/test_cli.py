@@ -26,6 +26,11 @@ CHECK_GOLDEN = json.loads(
 TABLE_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "table.json").read_text()
 )
+# the same for `starcut decompose`: both validators' reports for n <= 7, in
+# JSON and text, every index up to n = 5 and the first and last beyond
+DECOMPOSE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "decompose.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +213,12 @@ def test_check_output_matches_golden(capsys, argv):
 def test_table_output_matches_golden(capsys, argv):
     code, out = run_cli(capsys, *argv.split())
     assert (code, out) == (TABLE_GOLDEN[argv]["rc"], TABLE_GOLDEN[argv]["stdout"])
+
+
+@pytest.mark.parametrize("argv", sorted(DECOMPOSE_GOLDEN))
+def test_decompose_output_matches_golden(capsys, argv):
+    code, out = run_cli(capsys, *argv.split())
+    assert (code, out) == (DECOMPOSE_GOLDEN[argv]["rc"], DECOMPOSE_GOLDEN[argv]["stdout"])
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])

@@ -1,3 +1,4 @@
+import dataclasses
 from math import factorial
 
 import pytest
@@ -257,3 +258,153 @@ def test_partition_covers_everything(s5):
     sp = partition_by_symbol(s5, 4)
     all_vs = sorted(sp.center + [v for part in sp.parts.values() for v in part])
     assert all_vs == list(range(s5.num_vertices))
+
+
+def _rewired(n, a, b):
+    """S_n whose rows name vertex a as b and b as a: a graph isomorphic to
+    S_n on which both partitions of S_n break."""
+    g = StarGraph(n)
+    row = g._row
+    name = list(range(g.num_vertices))
+    name[a], name[b] = b, a
+    g._row = lambda v: [name[w] for w in row(name[v])]
+    return g
+
+
+# Every edge-structure check fires here: pair counts and disjointness for the
+# dimension split; center edges, part-pair edges and each matching's counts
+# for the symbol split.
+REWIRED_REPORTS = {
+    (4, 0, 23): (
+        {"n": 4, "j": 2, "ok": False,
+         "part_sizes": {1: 6, 2: 6, 3: 6, 4: 6},
+         "iso_ok": {1: True, 2: False, 3: False, 4: True},
+         "pair_edge_counts": {(1, 2): 1, (1, 3): 3, (1, 4): 2, (2, 3): 6, (2, 4): 3, (3, 4): 1},
+         "problems": ["part 2: induced edge count 4 != 6",
+                      "part 3: induced edge count 4 != 6",
+                      "parts (1,2) joined by 1 edges, expected 2",
+                      "parts (1,3) joined by 3 edges, expected 2",
+                      "parts (2,3) joined by 6 edges, expected 2",
+                      "edges between parts (2,3) are not disjoint",
+                      "parts (2,4) joined by 3 edges, expected 2",
+                      "parts (3,4) joined by 1 edges, expected 2"]},
+        {"n": 4, "i": 1, "ok": False, "center_size": 6, "center_edge_count": 1,
+         "iso_ok": {2: True, 3: True, 4: False},
+         "matching_sizes": {2: 5, 3: 5, 4: 6},
+         "matching_saturates": {2: False, 3: False, 4: False},
+         "part_pair_edge_count": 2,
+         "problems": ["part 4: edge (21,23) has non-adjacent image",
+                      "center induces 1 edges, expected none",
+                      "2 edges join distinct non-center classes",
+                      "center to part 2: 5 edges over 5 center and 5 part vertices, "
+                      "expected a perfect matching of size 6",
+                      "center to part 3: 5 edges over 5 center and 5 part vertices, "
+                      "expected a perfect matching of size 6",
+                      "center to part 4: 6 edges over 5 center and 4 part vertices, "
+                      "expected a perfect matching of size 6"]},
+    ),
+    (5, 0, 119): (
+        {"n": 5, "j": 2, "ok": False,
+         "part_sizes": {1: 24, 2: 24, 3: 24, 4: 24, 5: 24},
+         "iso_ok": {1: True, 2: False, 3: True, 4: False, 5: True},
+         "pair_edge_counts": {(1, 2): 5, (1, 3): 6, (1, 4): 7, (1, 5): 6, (2, 3): 6,
+                              (2, 4): 12, (2, 5): 7, (3, 4): 6, (3, 5): 6, (4, 5): 5},
+         "problems": ["part 2: induced edge count 33 != 36",
+                      "part 4: induced edge count 33 != 36",
+                      "parts (1,2) joined by 5 edges, expected 6",
+                      "parts (1,4) joined by 7 edges, expected 6",
+                      "parts (2,4) joined by 12 edges, expected 6",
+                      "edges between parts (2,4) are not disjoint",
+                      "parts (2,5) joined by 7 edges, expected 6",
+                      "parts (4,5) joined by 5 edges, expected 6"]},
+        {"n": 5, "i": 1, "ok": False, "center_size": 24, "center_edge_count": 1,
+         "iso_ok": {2: True, 3: True, 4: True, 5: False},
+         "matching_sizes": {2: 23, 3: 23, 4: 23, 5: 25},
+         "matching_saturates": {2: False, 3: False, 4: False, 5: False},
+         "part_pair_edge_count": 3,
+         "problems": ["part 5: edge (105,119) has non-adjacent image",
+                      "center induces 1 edges, expected none",
+                      "3 edges join distinct non-center classes",
+                      "center to part 2: 23 edges over 23 center and 23 part vertices, "
+                      "expected a perfect matching of size 24",
+                      "center to part 3: 23 edges over 23 center and 23 part vertices, "
+                      "expected a perfect matching of size 24",
+                      "center to part 4: 23 edges over 23 center and 23 part vertices, "
+                      "expected a perfect matching of size 24",
+                      "center to part 5: 25 edges over 23 center and 22 part vertices, "
+                      "expected a perfect matching of size 24"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("swap", sorted(REWIRED_REPORTS), ids="S{0[0]}-{0[1]}-{0[2]}".format)
+def test_validators_report_every_edge_check_on_a_rewired_graph(swap):
+    g = _rewired(*swap)
+    dimension, symbol = REWIRED_REPORTS[swap]
+    assert dataclasses.asdict(validate_dimension_partition(g, 2)) == dimension
+    assert dataclasses.asdict(validate_symbol_partition(g, 1)) == symbol
+
+
+def _drop_one(parts):
+    parts[2] = parts[2][1:]
+
+
+def _move_one(parts):
+    parts[3] = parts[3] + parts[2][:1]
+    parts[2] = parts[2][1:]
+
+
+BROKEN_PROBLEMS = {
+    ("dimension", "drop"): [
+        "part 2 has 5 vertices, expected 6",
+        "parts cover 23 vertices of 24",
+        "part 2: relabeling is not a bijection onto the smaller star graph",
+        "parts (1,2) joined by 1 edges, expected 2"],
+    ("dimension", "move"): [
+        "part 2 has 5 vertices, expected 6",
+        "part 3 has 7 vertices, expected 6",
+        "part 2: relabeling is not a bijection onto the smaller star graph",
+        "part 3: permutation does not carry symbol 3 at position 2",
+        "parts (1,2) joined by 1 edges, expected 2",
+        "parts (1,3) joined by 3 edges, expected 2",
+        "parts (2,3) joined by 4 edges, expected 2",
+        "edges between parts (2,3) are not disjoint"],
+    ("symbol", "drop"): [
+        "part 2 has 5 vertices, expected 6",
+        "classes cover 23 vertices of 24",
+        "part 2: relabeling is not a bijection onto the smaller star graph",
+        "center to part 2: 5 edges over 5 center and 5 part vertices, "
+        "expected a perfect matching of size 6"],
+    ("symbol", "move"): [
+        "part 2 has 5 vertices, expected 6",
+        "part 3 has 7 vertices, expected 6",
+        "part 2: relabeling is not a bijection onto the smaller star graph",
+        "part 3: permutation does not carry symbol 1 at position 3",
+        "2 edges join distinct non-center classes",
+        "center to part 2: 5 edges over 5 center and 5 part vertices, "
+        "expected a perfect matching of size 6",
+        "center to part 3: 7 edges over 6 center and 7 part vertices, "
+        "expected a perfect matching of size 6"],
+}
+
+
+@pytest.mark.parametrize("kind, how", sorted(BROKEN_PROBLEMS))
+def test_validators_report_a_broken_partition(s4, monkeypatch, kind, how):
+    # a vertex in no class, or in a class whose index it does not carry, is
+    # reported as a problem line rather than raised
+    partition = getattr(decomposition, f"partition_by_{kind}")
+    validate = getattr(decomposition, f"validate_{kind}_partition")
+
+    def broken(g, index):
+        split = partition(g, index)
+        {"drop": _drop_one, "move": _move_one}[how](split.parts)
+        return split
+
+    monkeypatch.setattr(decomposition, f"partition_by_{kind}", broken)
+    rep = validate(s4, 2 if kind == "dimension" else 1)
+    assert rep.problems == BROKEN_PROBLEMS[kind, how]
+    assert not rep.ok and not rep.iso_ok[2]
+    assert rep.iso_ok[3] is (how == "drop")  # a moved member does not carry part 3's index
+    if kind == "symbol":
+        assert rep.center_edge_count == 0
+        assert rep.matching_sizes == {2: 5, 3: 7 if how == "move" else 6, 4: 6}
