@@ -22,9 +22,8 @@ from .core import (
     InputError,
     StarGraph,
     _perms,
-    format_perm,
+    _rank,
     parse_perm,
-    perm_rank,
 )
 from .cuts import (
     CutVerdict,
@@ -69,7 +68,7 @@ def _write(args, text: str):
 
 
 def _vlabel(n: int, v: int, compact: bool = False) -> str:
-    return format_perm(_perms(n).row(v), compact)
+    return _perms(n).label(v, compact)
 
 
 def _json(payload) -> str:
@@ -289,7 +288,7 @@ def cmd_verify_cut(args) -> int:
             raise InputError(
                 f"permutation {text!r} has length {len(p)}, expected {n}"
             )
-        return perm_rank(p)
+        return _rank(p)  # parse_perm has validated p
 
     if args.vertices:
         if not isinstance(data.get("vertices"), list):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from math import factorial, inf
 
 
@@ -34,6 +34,10 @@ MATERIALIZED_MAX_N = 9
 IMPLICIT_MAX_N = 20
 # Auto mode materializes whenever it can and stays implicit beyond.
 AUTO_MATERIALIZE_MAX_N = MATERIALIZED_MAX_N
+
+
+# Symbol bytes 0..8 of a permutation table row to the digits of its label.
+_DIGITS = bytes.maketrans(bytes(range(9)), b"123456789")
 
 
 def _as_1based(symbols) -> str:
@@ -91,14 +95,18 @@ def star_neighbors(p) -> list[tuple[int, ...]]:
 def perm_rank(p) -> int:
     """Lehmer rank: index of p in lexicographic order of all permutations."""
     validate_perm(p)
+    return _rank(p)
+
+
+def _rank(p) -> int:
+    """perm_rank of a p the caller has validated, in O(n): the symbols
+    after position i smaller than p[i] are those smaller than p[i] less
+    the ones already seen, whose bits `seen` holds."""
     n = len(p)
-    r = 0
-    for i in range(n):
-        smaller = 0
-        for j in range(i + 1, n):
-            if p[j] < p[i]:
-                smaller += 1
-        r = r * (n - i) + smaller
+    r = seen = 0
+    for i, s in enumerate(p):
+        r = r * (n - i) + s - (seen & ((1 << s) - 1)).bit_count()
+        seen |= 1 << s
     return r
 
 
@@ -152,9 +160,30 @@ class _PermTable:
         n = self.n
         return tuple(self.flat[v * n : (v + 1) * n])
 
-    def symbols_by_position(self, vertices) -> list[set[int]]:
-        """The set of symbols at each position over `vertices`."""
-        return [set(map(col.__getitem__, vertices)) for col in self.columns]
+    def label(self, v: int, compact: bool = False) -> str:
+        """format_perm(self.row(v), compact), from the row's bytes."""
+        n = self.n
+        digits = self.flat[v * n : (v + 1) * n].translate(_DIGITS).decode()
+        return digits if compact else ",".join(digits)
+
+    def symbols_by_position(self, vertices: set[int]) -> list[set[int]]:
+        """The set of symbols at each position over the set `vertices`.
+
+        A set of more than half the vertices is profiled from its
+        complement: each symbol sits at each position in (n-1)! of the n!
+        permutations, so it is missing there exactly when the complement
+        holds all (n-1)! of them.
+        """
+        count = len(self.flat) // self.n
+        if 2 * len(vertices) <= count:
+            return [set(map(col.__getitem__, vertices)) for col in self.columns]
+        rest = list(itertools.filterfalse(vertices.__contains__, range(count)))
+        per_symbol = count // self.n
+        out = []
+        for col in self.columns:
+            in_rest = Counter(map(col.__getitem__, rest))
+            out.append({s for s in range(self.n) if in_rest[s] < per_symbol})
+        return out
 
     def carrying(self, j: int, s: int) -> list[int]:
         """Ascending ranks whose permutation has symbol s at position j."""
@@ -183,6 +212,9 @@ class _RankArithmetic:
 
     def row(self, v: int) -> tuple[int, ...]:
         return perm_unrank(v, self.n)
+
+    def label(self, v: int, compact: bool = False) -> str:
+        return format_perm(perm_unrank(v, self.n), compact)
 
     def symbols_by_position(self, vertices) -> list[set[int]]:
         out = [set() for _ in range(self.n)]
@@ -302,7 +334,8 @@ class StarGraph:
         return _perms(self.n).row(v)
 
     def label(self, v: int, compact: bool = False) -> str:
-        return format_perm(self.perm(v), compact)
+        self._check_vertex(v)
+        return _perms(self.n).label(v, compact)
 
     def neighbors(self, v: int) -> list[int]:
         """Neighbor ranks of v, ordered by swap position ascending."""
@@ -411,30 +444,47 @@ def components(g: StarGraph, removed_vertices=(), removed_edges=()) -> list[list
     Components are ordered by their smallest member and each component is
     sorted ascending, so output is fully deterministic.
     """
-    removed_v = _vertex_set(g, removed_vertices)
-    removed_e = _edge_key_set(g, removed_edges)
-    seen = bytearray(g.num_vertices)
-    for r in removed_v:
-        seen[r] = 1
+    comps = _component_walk(g, _vertex_set(g, removed_vertices),
+                            _edge_key_set(g, removed_edges))
+    for comp in comps:
+        comp.sort()
+    return comps
+
+
+def _component_walk(g: StarGraph, removed_v, removed_e) -> list[list[int]]:
+    """Components of g minus a validated removal, each in visiting order.
+
+    `removed_v` holds valid ranks and `removed_e` canonical pairs of valid
+    ranks; a pair that is no edge of g removes nothing.  One byte per
+    vertex marks the removed and the reached vertices, and roots are taken
+    in rank order, so each component starts at its smallest member; its
+    member list is its queue.  A second byte per vertex marks the ends of
+    removed edges, and only their rows are filtered against `removed_e`.
+    """
+    num = g.num_vertices
+    seen = bytearray(num)
+    for v in removed_v:
+        seen[v] = 1
+    ends = bytearray(num)
+    for u, w in removed_e:
+        ends[u] = ends[w] = 1
+    adj, d, row = g._adj, g.degree, g._row
     comps = []
-    for start in range(g.num_vertices):
-        if seen[start]:
-            continue
+    start = seen.find(0)
+    while start >= 0:
         seen[start] = 1
         comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g._row(u):
-                if seen[w]:
-                    continue
-                if removed_e and _canon_edge(u, w) in removed_e:
-                    continue
-                seen[w] = 1
-                comp.append(w)
-                queue.append(w)
-        comp.sort()
+        for u in comp:  # appended to while it is read
+            nbrs = adj[u * d : u * d + d] if adj is not None else row(u)
+            if ends[u]:
+                nbrs = [w for w in nbrs
+                        if ((u, w) if u < w else (w, u)) not in removed_e]
+            for w in nbrs:
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
         comps.append(comp)
+        start = seen.find(0, start + 1)
     return comps
 
 

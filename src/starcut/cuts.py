@@ -18,15 +18,15 @@ from .core import (
     InvariantViolationError,
     StarGraph,
     _canon_edge,
+    _component_walk,
     _iso_problem,
     _perms,
+    _rank,
     _vertex_set,
-    components,
     edge_boundary,
     induced_min_degree,
     min_degree,
     neighborhood,
-    perm_rank,
 )
 
 
@@ -113,8 +113,10 @@ def substar_isolating_cut(n: int, k: int, graph: StarGraph | None = None) -> Cut
     if g.n != n:
         raise InputError(f"graph has dimension {g.n}, expected {n}")
     suffix = tuple(range(n - k - 1))  # symbols 1..n-k-1, 0-based
+    # each prefix permutes the k+1 symbols the suffix leaves out, so every
+    # prefix + suffix is a permutation and needs no validation
     x = sorted(
-        perm_rank(prefix + suffix)
+        _rank(prefix + suffix)
         for prefix in itertools.permutations(range(n - k - 1, n))
     )
     t = neighborhood(g, x)
@@ -159,7 +161,9 @@ def substar_iso_ok(g: StarGraph, x, k: int) -> bool:
         if any(s < lo for s in prefix):
             return False
         suffix_seen.add(p[m:])
-        mapping[v] = perm_rank(tuple(s - lo for s in prefix))
+        # the m distinct prefix symbols all lie in lo..n-1, which holds m
+        # symbols, so shifting them down by lo gives a permutation of 0..m-1
+        mapping[v] = _rank(tuple(s - lo for s in prefix))
     return len(suffix_seen) <= 1 and _iso_problem(g, small, x, mapping) is None
 
 
@@ -180,7 +184,9 @@ def is_k_edge_cut(g: StarGraph, F, k: int) -> CutVerdict:
     """Judge an edge removal set against the k-cut definition."""
     removed = set()
     for u, v in F:
-        if not g.has_edge(u, v):
+        g._check_vertex(u)
+        g._check_vertex(v)
+        if v not in g._row(u):
             raise InputError(
                 f"({g.label(u)}) -- ({g.label(v)}) is not an edge of the graph"
             )
@@ -194,14 +200,14 @@ def _verdict(g: StarGraph, mode: str, k: int, removed_vertices, removed_edges) -
     disconnected in vertex mode only (see is_k_vertex_cut)."""
     if k < 0:
         raise InputError("k must be >= 0")
-    comps = components(g, removed_vertices=removed_vertices, removed_edges=removed_edges)
+    sizes = [len(c) for c in _component_walk(g, removed_vertices, removed_edges)]
     survivors = g.num_vertices - len(removed_vertices)
-    disconnected = len(comps) >= 2 or (mode == "vertex" and survivors < 2)
+    disconnected = len(sizes) >= 2 or (mode == "vertex" and survivors < 2)
     mind = min_degree(g, removed_vertices=removed_vertices, removed_edges=removed_edges)
     valid = disconnected and mind >= k
     reason = "ok" if valid else "degree-below-k" if disconnected else "not-disconnected"
     return CutVerdict(mode=mode, n=g.n, k=k, valid=valid, reason=reason,
-                      component_sizes=[len(c) for c in comps],
+                      component_sizes=sizes,
                       min_surviving_degree=mind,
                       removed=len(removed_vertices) + len(removed_edges))
 

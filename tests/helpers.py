@@ -9,7 +9,8 @@ and the `*_by_full_walk`, `*_by_member_checks` and `*_reference` functions,
 which read the graph's neighbour rows or its range check.
 `growth_search_reference` also judges its candidates with the library's
 keyed rows and removal check.  `keyed_rows_reference` is the edge
-numbering that `oracle._keyed_rows` replaced, kept verbatim.
+numbering that `oracle._keyed_rows` replaced, and `perm_rank_reference`
+the quadratic Lehmer rank that `core._rank` replaced, both kept verbatim.
 """
 
 import itertools
@@ -35,6 +36,20 @@ def rank_of(text: str) -> int:
 
 def ranks_of(*texts) -> list[int]:
     return sorted(rank_of(t) for t in texts)
+
+
+def perm_rank_reference(p) -> int:
+    """Lehmer rank by counting, for each position, the smaller symbols
+    after it: the O(n^2) body of perm_rank before the O(n) rank."""
+    n = len(p)
+    r = 0
+    for i in range(n):
+        smaller = 0
+        for j in range(i + 1, n):
+            if p[j] < p[i]:
+                smaller += 1
+        r = r * (n - i) + smaller
+    return r
 
 
 def neighbors_by_composition(p):

@@ -168,6 +168,54 @@ def test_verify_cut_rejects_length_mismatch(tmp_path):
     assert main(["verify-cut", "--edges", str(bad_edge)]) == 2
 
 
+# component sizes of S8 minus the constructed cut, and minus the cut with
+# its first member dropped; k = 6 vertex mode also splits the rest of S8
+S8_VERDICTS = {
+    (0, "vertices"): ([40312, 1], [40314]),
+    (0, "edges"): ([40319, 1], [40320]),
+    (3, "vertices"): ([40200, 24], [40225]),
+    (3, "edges"): ([40296, 24], [40320]),
+    (6, "vertices"): ([5040] * 7, [35281]),
+    (6, "edges"): ([35280, 5040], [40320]),
+}
+
+
+@pytest.fixture(scope="module")
+def s8_cut_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("s8")
+    files = {}
+    for k in (0, 3, 6):
+        files[k] = folder / f"cut8-{k}.json"
+        assert main(["cut", "8", str(k), "-o", str(files[k])]) == 0
+    return files
+
+
+@pytest.mark.parametrize("key", ["vertices", "edges"])
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_verify_cut_on_s8(s8_cut_files, tmp_path, capsys, k, key):
+    sizes, tampered_sizes = S8_VERDICTS[k, key]
+    code, out = run_cli(capsys, "verify-cut", f"--{key}", str(s8_cut_files[k]))
+    verdict = json.loads(out)
+    assert (code, verdict["valid"], verdict["reason"]) == (0, True, "ok")
+    assert verdict["component_sizes"] == sizes
+    assert verdict["min_surviving_degree"] == k
+
+    doc = json.loads(s8_cut_files[k].read_text())
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps({**doc, key: doc[key][1:]}))
+    code, out = run_cli(capsys, "verify-cut", f"--{key}", str(tampered))
+    verdict = json.loads(out)
+    assert (code, verdict["valid"], verdict["reason"]) == (1, False, "not-disconnected")
+    assert verdict["component_sizes"] == tampered_sizes
+
+    if key == "edges":
+        pair = ["1,2,3,4,5,6,7,8", "2,1,4,3,5,6,7,8"]
+        tampered.write_text(json.dumps({**doc, "edges": [pair] + doc["edges"]}))
+        assert main(["verify-cut", "--edges", str(tampered)]) == 2
+        assert capsys.readouterr() == ("", "error: (1,2,3,4,5,6,7,8) -- "
+                                           "(2,1,4,3,5,6,7,8) is not an edge of the graph\n")
+
+
 @pytest.mark.parametrize("flag, doc", [
     ("--vertices", ["1,2,3,4"]),
     ("--vertices", {"n": 4, "k": 0, "vertices": [1234]}),

@@ -25,13 +25,14 @@ from starcut import (
 )
 from starcut import core
 from starcut.cli import _check_lines
-from starcut.core import _vertex_set
+from starcut.core import _PermTable, _RankArithmetic, _perms, _rank, _vertex_set
 from helpers import (
     adjacency_by_permutation_loop,
     components_by_union_find,
     induced_min_degree_by_full_walk,
     min_degree_by_full_walk,
     neighbors_by_composition,
+    perm_rank_reference,
     rank_of,
     ranks_of,
     vertex_set_by_member_checks,
@@ -85,6 +86,76 @@ def test_rank_unrank_bijective_exhaustive():
         for r, p in enumerate(itertools.permutations(range(n))):
             assert perm_rank(p) == r
             assert perm_unrank(r, n) == p
+
+
+def test_linear_rank_matches_the_quadratic_rank_exhaustively():
+    for n in range(1, 8):
+        for p in itertools.permutations(range(n)):
+            assert _rank(p) == perm_rank_reference(p), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=20).flatmap(
+    lambda n: st.permutations(range(n))))
+def test_linear_rank_matches_the_quadratic_rank_up_to_s20(p):
+    p = tuple(p)
+    assert _rank(p) == perm_rank(p) == perm_rank_reference(p)
+    assert perm_unrank(_rank(p), len(p)) == p
+
+
+def test_perm_rank_still_validates():
+    for bad in ((0, 0), (1, 2), (0, 2, 1, 2)):
+        with pytest.raises(InputError):
+            perm_rank(bad)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_labels_match_format_perm(n):
+    # every vertex up to S8, every 7th of S9; both back ends, both forms
+    table, arithmetic = _PermTable(n), _RankArithmetic(n)
+    assert _perms(n).label(0) == table.label(0)
+    for v in range(0, factorial(n), 7 if n == 9 else 1):
+        p = perm_unrank(v, n)
+        for compact in (False, True):
+            want = format_perm(p, compact)
+            assert table.label(v, compact) == want, (v, compact)
+            assert arithmetic.label(v, compact) == want, (v, compact)
+
+
+def test_labels_above_the_table():
+    g = StarGraph(10)
+    assert isinstance(_perms(10), _RankArithmetic)
+    for v in (0, 1, 362_880, factorial(10) - 1):
+        assert g.label(v) == _perms(10).label(v) == format_perm(perm_unrank(v, 10))
+        with pytest.raises(InputError):
+            _perms(10).label(v, compact=True)
+    with pytest.raises(InputError):
+        g.label(factorial(10))
+    with pytest.raises(InputError):
+        StarGraph(4).label(24, compact=True)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_symbols_by_position_matches_the_direct_count(n):
+    import random
+
+    rng = random.Random(n)
+    count = factorial(n)
+    perms = [perm_unrank(v, n) for v in range(count)]
+    table = _PermTable(n)
+    half = count // 2
+    sizes = sorted({0, 1, half - 1, half, half + 1, count - 1, count}
+                   | {rng.randrange(count + 1) for _ in range(40)})
+    cases = [set(rng.sample(range(count), size)) for size in sizes for _ in range(3)]
+    # random sets miss no symbol anywhere once they hold half the graph;
+    # these miss symbol s at position j, and a few more vertices
+    for j, s in ((0, 0), (n - 1, n - 1), (1, n // 2)):
+        missing = set(range(count)) - set(table.carrying(j, s))
+        cases += [missing, missing - set(rng.sample(sorted(missing), 5))]
+    for xs in cases:
+        want = [{perms[v][j] for v in xs} for j in range(n)]
+        assert table.symbols_by_position(xs) == want, xs
+        assert _RankArithmetic(n).symbols_by_position(xs) == want
 
 
 def test_unrank_range_errors():
@@ -471,3 +542,65 @@ def test_neighborhood_disjoint_and_adjacent(gx):
     assert not xset & set(hood)
     for v in hood:
         assert any(w in xset for w in g.neighbors(v))
+
+
+@st.composite
+def messy_removals(draw):
+    """A removal on materialized or implicit S4 or S5, with removed edges
+    in both orientations, repeated, touching removed vertices, and pairs
+    that are no edge.  Half the cases isolate a vertex by its incident
+    edges or a small set by its neighbours, since random removals rarely
+    disconnect."""
+    g = StarGraph(draw(st.sampled_from([4, 5])),
+                  draw(st.sampled_from(["materialized", "implicit"])))
+    num = g.num_vertices
+    vertex = st.integers(0, num - 1)
+    removed_v = draw(st.lists(vertex, max_size=8))
+    edges = list(g.edges())
+    removed_e = draw(st.lists(st.sampled_from(edges), max_size=12))
+    if draw(st.booleans()):
+        v = draw(vertex)
+        if draw(st.booleans()):
+            removed_e += [(v, w) for w in g.neighbors(v)]
+        else:
+            removed_v += g.neighbors(v)
+    removed_e += draw(st.lists(st.tuples(vertex, vertex), max_size=4))  # mostly no edge
+    removed_e += [e[::-1] for e in draw(st.lists(st.sampled_from(removed_e or edges),
+                                                 max_size=6))]
+    removed_e += [e for e in edges if e[0] in removed_v][:3]
+    return g, removed_v, draw(st.permutations(removed_e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(messy_removals())
+def test_components_with_removed_edges_match_union_find(case):
+    g, removed_v, removed_e = case
+    want = components_by_union_find(g.num_vertices, g.edges(), removed_v, removed_e)
+    assert components(g, removed_v, removed_e) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(messy_removals(), st.integers(0, 4))
+def test_verdicts_with_removed_edges_match_union_find(case, k):
+    from starcut import is_k_edge_cut, is_k_vertex_cut
+    from starcut.cuts import _verdict
+
+    g, removed_v, removed_e = case
+    real = [e for e in removed_e if g.has_edge(*e)]
+    rv, re = set(removed_v), {tuple(sorted(e)) for e in real}
+    checks = [("edge", set(), real, is_k_edge_cut(g, real, k))]
+    if len(rv) < g.num_vertices:
+        checks.append(("vertex", rv, [], is_k_vertex_cut(g, removed_v, k)))
+        checks.append(("vertex", rv, real, _verdict(g, "vertex", k, rv, re)))
+    for mode, vs, es, verdict in checks:
+        comps = components_by_union_find(g.num_vertices, g.edges(), vs, es)
+        mind = min_degree_by_full_walk(g, vs, es)
+        assert verdict.component_sizes == [len(c) for c in comps]
+        assert verdict.min_surviving_degree == mind
+        survivors = g.num_vertices - len(vs)
+        disconnected = len(comps) >= 2 or (mode == "vertex" and survivors < 2)
+        assert verdict.valid == (disconnected and mind >= k)
+    pairs = [e for e in removed_e if not g.has_edge(*e)]
+    if pairs:
+        with pytest.raises(InputError, match="is not an edge of the graph"):
+            is_k_edge_cut(g, real + pairs, k)
