@@ -15,6 +15,8 @@ from starcut import (
     format_perm,
     induced_edges,
     induced_min_degree,
+    is_k_edge_cut,
+    is_k_vertex_cut,
     min_degree,
     neighborhood,
     parse_perm,
@@ -25,6 +27,7 @@ from starcut import (
 )
 from starcut import core
 from starcut.cli import _check_lines
+from starcut.cuts import _verdict
 from starcut.core import _PermTable, _RankArithmetic, _perms, _rank, _vertex_set
 from helpers import (
     adjacency_by_permutation_loop,
@@ -582,16 +585,13 @@ def test_components_with_removed_edges_match_union_find(case):
 @settings(max_examples=200, deadline=None)
 @given(messy_removals(), st.integers(0, 4))
 def test_verdicts_with_removed_edges_match_union_find(case, k):
-    from starcut import is_k_edge_cut, is_k_vertex_cut
-    from starcut.cuts import _verdict
-
     g, removed_v, removed_e = case
     real = [e for e in removed_e if g.has_edge(*e)]
-    rv, re = set(removed_v), {tuple(sorted(e)) for e in real}
+    rv, keys = set(removed_v), {tuple(sorted(e)) for e in real}
     checks = [("edge", set(), real, is_k_edge_cut(g, real, k))]
     if len(rv) < g.num_vertices:
         checks.append(("vertex", rv, [], is_k_vertex_cut(g, removed_v, k)))
-        checks.append(("vertex", rv, real, _verdict(g, "vertex", k, rv, re)))
+        checks.append(("vertex", rv, real, _verdict(g, "vertex", k, rv, keys)))
     for mode, vs, es, verdict in checks:
         comps = components_by_union_find(g.num_vertices, g.edges(), vs, es)
         mind = min_degree_by_full_walk(g, vs, es)
