@@ -348,7 +348,9 @@ class StarGraph:
         if self._adj is not None:
             d = self.degree
             return self._adj[v * d : (v + 1) * d]
-        return [perm_rank(q) for q in star_neighbors(_perms(self.n).row(v))]
+        # star_neighbors validates the row, and every swap of it is a
+        # permutation, so no neighbour is validated again
+        return [_rank(q) for q in star_neighbors(_perms(self.n).row(v))]
 
     def adjacency_lists(self) -> list[tuple[int, ...]]:
         """All neighbor rows at once; handy for tight search loops."""
@@ -497,8 +499,13 @@ def min_degree(g: StarGraph, removed_vertices=(), removed_edges=()):
     the losses are counted over the removal alone; a removed pair that is
     no edge of g costs nothing.
     """
-    removed_v = _vertex_set(g, removed_vertices)
-    removed_e = _edge_key_set(g, removed_edges)
+    return _min_degree(g, _vertex_set(g, removed_vertices),
+                       _edge_key_set(g, removed_edges))
+
+
+def _min_degree(g: StarGraph, removed_v, removed_e):
+    """min_degree of a validated removal: `removed_v` holds distinct valid
+    ranks, and `removed_e` canonical pairs of valid ranks."""
     if len(removed_v) == g.num_vertices:
         return inf
     lost = _degree_lost(g, removed_v)

@@ -20,12 +20,12 @@ from .core import (
     _canon_edge,
     _component_walk,
     _iso_problem,
+    _min_degree,
     _perms,
     _rank,
     _vertex_set,
     edge_boundary,
     induced_min_degree,
-    min_degree,
     neighborhood,
 )
 
@@ -203,7 +203,7 @@ def _verdict(g: StarGraph, mode: str, k: int, removed_vertices, removed_edges) -
     sizes = [len(c) for c in _component_walk(g, removed_vertices, removed_edges)]
     survivors = g.num_vertices - len(removed_vertices)
     disconnected = len(sizes) >= 2 or (mode == "vertex" and survivors < 2)
-    mind = min_degree(g, removed_vertices=removed_vertices, removed_edges=removed_edges)
+    mind = _min_degree(g, removed_vertices, removed_edges)
     valid = disconnected and mind >= k
     reason = "ok" if valid else "degree-below-k" if disconnected else "not-disconnected"
     return CutVerdict(mode=mode, n=g.n, k=k, valid=valid, reason=reason,

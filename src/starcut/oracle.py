@@ -6,7 +6,9 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
   constructive bound.  Sets of size s are decided through their size s-1
   prefix: one articulation-point (or bridge) scan of the partially removed
   graph classifies every extension at once, and disjoint paths to a sink
-  vertex skip the scans they prove would find nothing.  The max flows that
+  vertex skip the scans they prove would find nothing: their lane sums
+  clear most of a group's bases at once, in C-level iterator chains, and
+  only the others are looked at one by one.  The max flows that
   find those paths also give the connectivity, and sizes below it are
   pruned wholesale, since such removals cannot disconnect.
   Odd edge sizes are skipped outright if the graph is connected and every
@@ -59,14 +61,17 @@ _TABLE_SEARCH_MAX_N = 5
 # least this many bases; a smaller level runs in the parent, where a fork
 # costs more than it saves.  A pooled level runs one task per group, the
 # largest first, so no large task is left to run alone at the end.
-# Measured on S5 k=1, 1 worker against 2, fresh interpreters on a 2-vCPU
-# host: vertex mode is faster serial at 114,827 bases and faster pooled at
-# 154,078; edge mode is even at 53,431 and faster pooled at 83,876.  The
-# threshold lies between the two crossovers, so either mode loses at most
-# one pool start-up (about 0.1 s) in the band between.  The benchmark and
-# `table` levels plan at most 25,523 bases, and the unbudgeted S5 walks
-# 273,819 and more.
+# Measured on S5 k=1 with most bases cleared in bulk (see _chunks), 1
+# worker against 2, fresh interpreters on a 2-vCPU host, 3 to 7 runs a
+# point: vertex mode is about even from 47,905 to 198,485 bases and faster
+# pooled at 273,819; edge mode is faster serial at 47,905 and 98,770, about
+# even at 198,485 and faster pooled from 392,084.  Both crossovers lie at
+# or above the threshold, too vaguely to move it: a pooled level in the
+# band loses about 0.03 s at most.  The benchmark and `table` levels plan
+# at most 25,523 bases, and the unbudgeted S5 walks 273,819 and more.
 _POOL_MIN_BASES = 100_000
+# A task clears its bases in bulk, and checks its deadline, a chunk at a time
+_CHUNK = 256
 DEFAULT_TABLE_MAX_NODES = 500_000
 
 _STRATEGIES = ("auto", "subset-enumeration", "component-growth")
@@ -385,7 +390,9 @@ def _path_family(rows, ground, edges, flows, maps=None):
     through key.  Summed over the removal and added to `risk`, a lane
     reaches its top bit (`high`) exactly when at least all but one of that
     vertex's paths hold a removed key; lanes are wide enough that no sum
-    carries into the next.
+    carries into the next.  In vertex mode hits[sink] and `high` also hold
+    the sink bit, one bit above every lane, so the masked sum of a removal
+    that holds the sink is never 0 (see _chunks).
     """
     N = len(rows)
     vertex = edges is None
@@ -404,20 +411,25 @@ def _path_family(rows, ground, edges, flows, maps=None):
             km = keymaps[j]
             paths[u] = tuple(tuple(map(km.__getitem__, path)) for path in paths[w])
     width = max(ground, N).bit_length() + 1
-    families = [_lanes(0, paths, ground, width)]
+    families = [_lanes(0, paths, ground, width, vertex)]
     if vertex and move is not None:
         moved: list[tuple] = [()] * N
         for v, vpaths in enumerate(paths):
             moved[move[v]] = tuple(tuple(map(move.__getitem__, path)) for path in vpaths)
-        families.append(_lanes(move[0], moved, ground, width))
+        families.append(_lanes(move[0], moved, ground, width, vertex))
     return families
 
 
-def _lanes(sink, paths, ground, width):
+def _lanes(sink, paths, ground, width, vertex):
     """The family (see _path_family) of the paths of each vertex to `sink`."""
     half = 1 << (width - 1)
     hits = [0] * ground
     risk = high = 0
+    if vertex:
+        # the sink bit, above every lane: a removal that holds the sink
+        # always leaves it in the mask.  The sink is on none of its own
+        # paths, so no lane changes
+        hits[sink] = high = 1 << (len(paths) * width)
     first = [0]
     keys: list[tuple] = []
     for v, vpaths in enumerate(paths):
@@ -613,49 +625,83 @@ def _settle(ks, bests, reach, removal, mind):
     return reach
 
 
+def _chunks(ws: _WorkerState, s: int, L: int, start: int, count: int, x_end: int):
+    """The bases of one group (see _plan_level) in chunks of _CHUNK, each as
+    (cleared, bases): how many the lane sums clear at once, and the others
+    in their original order, for `_certified` and the scan.
+
+    Each family clears the bases whose lane sum misses `high`, for the
+    reason `_certified`'s first test holds: every surviving vertex keeps
+    two paths to the sink, so no one more key disconnects the graph.  A
+    family whose sink is among the extensions clears nothing; in vertex
+    mode the sink bit keeps every base that holds the sink, and with it
+    every base that leaves fewer than three survivors, since each vertex
+    but the sink then has a path through a removed vertex.  The first
+    family sums the combinations of hits alongside those of the keys, a
+    later one only the hits of the bases left; every loop runs in C."""
+    if L == -1:
+        yield 0, [()]
+        return
+    rests = itertools.islice(itertools.combinations(range(L), s - 2),
+                             start, start + count)
+    usable = [f for f in ws.families or ()
+              if not (ws.vertex and L <= f[0] < x_end)]
+    if usable:
+        sums = itertools.islice(itertools.combinations(usable[0][1][:L], s - 2),
+                                start, start + count)
+    for done in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - done)
+        kept = itertools.islice(rests, size)
+        for i, family in enumerate(usable):
+            hits, risk, high = family[1:4]
+            rests_hits = (itertools.islice(sums, size) if i == 0 else
+                          map(map, itertools.repeat(hits.__getitem__), kept))
+            masks = map(sum, rests_hits, itertools.repeat(risk + hits[L]))
+            kept = list(itertools.compress(kept, map(high.__and__, masks)))
+        kept = [rest + (L,) for rest in kept]
+        yield size - len(kept), kept
+
+
 def _run_task(task):
     """Decide every subset covered by one group of bases; see _plan_level.
 
-    Returns (nodes, checked, smallest valid removal or None for each of the
-    ascending `ks`, expired)."""
+    The lane sums clear most bases a chunk at a time (see _chunks); each
+    other base is cleared by `_certified` or scanned, and its candidate
+    extensions are checked.  Returns (nodes, checked, smallest valid
+    removal or None for each of the ascending `ks`, expired)."""
     ws = _WS
     s, L, start, count, x_end, ks = task
     vertex = ws.vertex
     deadline = ws.deadline
+    per = x_end - 1 - L
     bests = [None] * len(ks)
     reach = 0
     nodes = 0
     checked = 0
     expired = False
 
-    if L == -1:
-        bases = [()]
-    else:
-        rests = itertools.islice(itertools.combinations(range(L), s - 2),
-                                 start, start + count)
-        bases = (rest + (L,) for rest in rests)
-
-    for it, base in enumerate(bases):
-        if deadline is not None and (it & 255) == 0 and time.monotonic() > deadline:
+    for cleared, bases in _chunks(ws, s, L, start, count, x_end):
+        if deadline is not None and time.monotonic() > deadline:
             expired = True
             break
-        if ws.families is not None and _certified(ws, base, L, x_end):
-            nodes += x_end - 1 - L
-            continue
-        ncomp, critical = _scan(ws, base)
-        if ncomp >= 2 or (vertex and ws.N - s < 2):
-            # already split, or the extension leaves fewer than two
-            # survivors, which counts as disconnected by convention
-            cands = range(L + 1, x_end)
-        else:
-            cands = sorted(c for c in critical if L < c < x_end)
-        for x in cands:
-            removal = base + (x,)
-            disconnected, mind = _check_removal(ws, removal)
-            checked += 1
-            if disconnected:
-                reach = _settle(ks, bests, reach, removal, mind)
-        nodes += x_end - 1 - L
+        nodes += cleared * per
+        for base in bases:
+            nodes += per
+            if ws.families is not None and _certified(ws, base, L, x_end):
+                continue
+            ncomp, critical = _scan(ws, base)
+            if ncomp >= 2 or (vertex and ws.N - s < 2):
+                # already split, or the extension leaves fewer than two
+                # survivors, which counts as disconnected by convention
+                cands = range(L + 1, x_end)
+            else:
+                cands = sorted(c for c in critical if L < c < x_end)
+            for x in cands:
+                removal = base + (x,)
+                disconnected, mind = _check_removal(ws, removal)
+                checked += 1
+                if disconnected:
+                    reach = _settle(ks, bests, reach, removal, mind)
     return nodes, checked, bests, expired
 
 

@@ -10,7 +10,10 @@ without them must agree.
 """
 
 import random
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations, islice
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +31,10 @@ from starcut.oracle import (
     _WorkerState,
     _certified,
     _check_removal,
+    _chunks,
     _flow_network,
     _keyed_rows,
+    _lanes,
     _orbit_paths,
     _path_family,
     _scan,
@@ -324,6 +329,147 @@ def test_level_four_bases_that_remove_vertex_0_skip_by_the_second_sink():
     for base in [(0, 1, x) for x in range(2, ws.ground)]:
         assert not _certified(ws, base, base[-1], ws.ground)
     assert not _certified(ws, (0,), 0, ws.ground)
+
+
+# ---------------------------------------------------------------------------
+# the lane sums of a whole group: a base cleared in bulk is one the scan
+# would clear
+# ---------------------------------------------------------------------------
+
+
+def _assert_bulk_is_sound(ws, s, L, start, count, x_end):
+    """_chunks keeps the group's other bases in combination order, and the
+    scan of each base it clears finds one component and no critical key
+    among the extensions, which leave at least two survivors."""
+    bases = [rest + (L,) for rest in islice(combinations(range(L), s - 2),
+                                            start, start + count)]
+    chunks = list(_chunks(ws, s, L, start, count, x_end))
+    left = [base for _, kept in chunks for base in kept]
+    ordered = iter(bases)
+    assert all(base in ordered for base in left), left  # a subsequence
+    assert sum(cleared for cleared, _ in chunks) == len(bases) - len(left)
+    for base in sorted(set(bases).difference(left)):
+        assert not (ws.vertex and ws.N - len(base) - 1 < 2), (base, x_end)
+        ncomp, critical = _scan(ws, base)
+        assert ncomp == 1, (base, x_end)
+        assert not [c for c in critical if L < c < x_end], (base, x_end, critical)
+    return len(bases) - len(left)
+
+
+def _group(draw, ground):
+    """A group as _plan_level lays it out, perhaps truncated: the bases of
+    s - 1 keys with largest key L, from number `start` on, deciding the
+    extensions below x_end."""
+    s = draw(st.integers(2, min(5, ground)))
+    L = draw(st.integers(s - 2, ground - 2))
+    total = comb(L, s - 2)
+    start = draw(st.integers(0, min(total - 1, 20_000)))
+    count = min(total - start, 200)
+    if draw(st.booleans()):  # else the group runs to its end
+        count = draw(st.integers(1, count))
+    return s, L, start, count, draw(st.integers(L + 2, ground))
+
+
+def _families_to(adj, sinks):
+    """Vertex-mode families to those of `sinks` that every other vertex
+    reaches by two paths.  Each one's flows run with the sink and vertex 0
+    swapped, and its paths are swapped back."""
+    N = len(adj)
+    width = N.bit_length() + 1
+    families = []
+    for t in sinks:
+        swap = list(range(N))
+        swap[0], swap[t] = t, 0
+        swapped = [sorted(swap[w] for w in adj[swap[v]]) for v in range(N)]
+        paths = [()] * N
+        for rep, _, found in _orbit_paths(_keyed_rows(swapped, "vertex")[0], "vertex", []):
+            paths[swap[rep]] = tuple(tuple(swap[x] for x in path) for path in found)
+        if all(len(found) > 1 for v, found in enumerate(paths) if v != t):
+            families.append(_lanes(t, paths, N, width, True))
+    return families
+
+
+_CHUNKS = st.sampled_from([1, 7, 256])
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_path_graphs(), st.sampled_from(["vertex", "edge"]), _CHUNKS, st.data())
+def test_bulk_clearing_is_sound_on_graphs_with_two_paths_to_vertex_0(adj, mode, chunk, data):
+    # in vertex mode the graph is relabelled, so that vertex 0, a cut
+    # vertex when two blocks are glued, becomes a drawn sink t, and a
+    # second sink may join it: a group may hold a sink or decide it among
+    # its extensions
+    if mode == "edge":
+        ws = _family_state(adj, mode)
+    else:
+        to = data.draw(st.permutations(range(len(adj))))
+        relabelled = [()] * len(adj)
+        for v, row in enumerate(adj):
+            relabelled[to[v]] = sorted(to[w] for w in row)
+        sinks = [to[0], data.draw(st.sampled_from(range(len(adj))))]
+        rows, ground, _ = _keyed_rows(relabelled, mode)
+        ws = _state(mode, rows, ground, _families_to(relabelled, dict.fromkeys(sinks)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK", chunk)
+        _assert_bulk_is_sound(ws, *_group(data.draw, ws.ground))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.sampled_from(["vertex", "edge"]), _CHUNKS, st.data())
+def test_bulk_clearing_is_sound_on_star_graphs(n, mode, chunk, data):
+    # vertex mode has both sinks, vertex 0 and vertex 1; groups with small
+    # L hold them or decide them among their extensions
+    ws = _star_state(n, mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK", chunk)
+        _assert_bulk_is_sound(ws, *_group(data.draw, ws.ground))
+
+
+def test_bulk_clearing_spares_the_bases_that_hold_a_sink():
+    ws = _star_state(5, "vertex")
+    ground = ws.ground
+    # (0,): L is the first sink and the second, vertex 1, an extension
+    assert _assert_bulk_is_sound(ws, 2, 0, 0, 1, ground) == 0
+    # (1,): L is the second sink, so only the first family clears it
+    assert _assert_bulk_is_sound(ws, 2, 1, 0, 1, ground) == 1
+    assert _assert_bulk_is_sound(ws, 3, 1, 0, 1, ground) == 0  # (0, 1)
+    # the first 59 bases of size 3 with L = 60 all hold vertex 0: the sink
+    # bit keeps them all from the first family, and the second may clear
+    # any but (0, 1, 60), which holds both sinks
+    first = _state("vertex", ws.rows, ground, ws.families[:1])
+    assert _assert_bulk_is_sound(first, 4, 60, 0, 59, ground) == 0
+    _assert_bulk_is_sound(ws, 4, 60, 0, 59, ground)
+    assert next(_chunks(ws, 4, 60, 0, 59, ground))[1][0] == (0, 1, 60)
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_bulk_clearing_is_sound_on_every_small_group_of_s3_and_s4(n, mode):
+    ws = _star_state(n, mode)
+    for s in range(2, 5):
+        for L in range(s - 2, ws.ground - 1):
+            _assert_bulk_is_sound(ws, s, L, 0, comb(L, s - 2), ws.ground)
+
+
+@pytest.mark.parametrize("mode, certified, scans", [
+    ("vertex", 1_048, 75),
+    ("edge", 1_842, 81),
+])
+def test_s5_k1_walk_at_two_million_nodes_clears_most_bases_in_bulk(
+        monkeypatch, mode, certified, scans):
+    # the walk plans 25,523 (vertex) and 9,544 (edge) bases of size 3 at
+    # the benchmark's budget.  In vertex mode the first family's lane sums
+    # leave 4,405 of them, and the second family's clear 3,357 of those
+    calls = Counter()
+    for name in ("_certified", "_scan"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, real=real, name=name:
+                            calls.update([name]) or real(*a))
+    search = oracle.exact_kappa_super if mode == "vertex" else oracle.exact_lambda_super
+    res = search(StarGraph(5), 1, SearchBudget(max_nodes=2_000_000))
+    assert (res.kind, res.value, res.stats.nodes) == ("upper-bound-only", 6, 2_000_000)
+    # one more scan tests the graph's connectivity before the walk
+    assert (calls["_certified"], calls["_scan"] - 1) == (certified, scans)
 
 
 def _assert_maximum_disjoint_paths(adj, mode, family):
