@@ -235,7 +235,7 @@ class _RankArithmetic:
         return out
 
 
-# Built once per n and shared by every graph and call, like the flow cache.
+# Built once per n and shared by every graph and call in the process.
 _PERM_TABLES: dict[int, _PermTable | _RankArithmetic] = {}
 
 

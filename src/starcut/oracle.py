@@ -381,9 +381,10 @@ def _path_family(rows, ground, edges, flows, maps=None):
     `edges` is the edge list of `_keyed_rows`, None in vertex mode.
 
     Returns a list of families, or None when some vertex has fewer than
-    two paths.  A family is (sink, hits, risk, high, width, first, keys).
-    The paths of v have the ids first[v] to first[v + 1] - 1, and path p
-    holds the removal keys keys[p]: its inner vertices, or its edge ids.
+    two paths.  A family is (sink, hits, risk, high, width, first, keys,
+    through).  The paths of v have the ids first[v] to first[v + 1] - 1,
+    path p holds the removal keys keys[p]: its inner vertices, or its edge
+    ids, and through[key] has bit p set for every path p that holds key.
     The other four count, for every vertex in one integer sum, the keys of
     a removal that lie on its paths.  Vertex v owns the `width`-bit lane at
     bit v * width; hits[key] has a 1 in the lane of every vertex with a path
@@ -430,6 +431,7 @@ def _lanes(sink, paths, ground, width, vertex):
         # always leaves it in the mask.  The sink is on none of its own
         # paths, so no lane changes
         hits[sink] = high = 1 << (len(paths) * width)
+    through = [0] * ground
     first = [0]
     keys: list[tuple] = []
     for v, vpaths in enumerate(paths):
@@ -437,12 +439,13 @@ def _lanes(sink, paths, ground, width, vertex):
             lane = 1 << (v * width)
             risk |= (half - len(vpaths) + 1) * lane
             high |= half * lane
-            for path in vpaths:
+            for p, path in enumerate(vpaths, len(keys)):
                 for key in path:
                     hits[key] |= lane
+                    through[key] |= 1 << p
             keys.extend(vpaths)
         first.append(len(keys))
-    return sink, hits, risk, high, width, first, keys
+    return sink, hits, risk, high, width, first, keys, through
 
 
 def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
@@ -455,12 +458,17 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
     that keeps two reaches it after any one more key; a vertex that keeps
     a single path reaches it after any key off that path.  Only vertices
     with at most one path free of the base's keys need a look, and the
-    lane sum finds every such vertex, and perhaps a few more.
+    lane sum finds every such vertex, and also some that keep two, where
+    two removed keys lie on one path.  The paths the base cuts
+    are one OR of its keys' path bits, so the free paths of v are the
+    clear bits between first[v] and first[v + 1].  `_run_task` hands over
+    only bases that this family's lane sums kept (see _chunks), so the
+    `if not mask` return serves direct callers only.
 
     A vertex that its own paths do not clear is cleared through two of its
     links whose keys are not in the base, each to the sink or to a
     neighbour that keeps two paths free of the base (its lane bit clear,
-    or a count of its paths).  One more key is one vertex or one edge: it
+    or two clear path bits).  One more key is one vertex or one edge: it
     cuts at most one of the two links, and it lies on at most one of the
     other neighbour's paths, so the vertex still reaches the sink through
     that neighbour.  In vertex mode the sink must survive, so the first
@@ -471,7 +479,7 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
     vertex = ws.vertex
     if vertex and ws.N - len(base) < 3:
         return False
-    for sink, hits, risk, high, width, first, keys in ws.families:
+    for sink, hits, risk, high, width, first, keys, through in ws.families:
         if not (vertex and (sink in base or L < sink < x_end)):
             break
     else:
@@ -479,24 +487,26 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
     mask = sum(map(hits.__getitem__, base), risk) & high
     if not mask:
         return True
-    removed = set(base)
+    cut = 0
+    for key in base:
+        cut |= through[key]
     risky = mask
     while risky:
         bit = risky & -risky
         risky ^= bit
         v = bit.bit_length() // width - 1
-        if vertex and v in removed:
+        if vertex and v in base:
             continue
-        alive = [p for p in range(first[v], first[v + 1]) if removed.isdisjoint(keys[p])]
-        if len(alive) > 1 or (alive and not any(L < x < x_end for x in keys[alive[0]])):
+        free = ~cut & ((1 << first[v + 1]) - (1 << first[v]))
+        if free & (free - 1) or (free and not any(L < x < x_end
+                                                  for x in keys[free.bit_length() - 1])):
             continue
         robust = 0
         for w, key in ws.rows[v]:
-            if key in removed:
+            if key in base:
                 continue
             if (w == sink or not mask >> ((w + 1) * width - 1) & 1
-                    or sum(removed.isdisjoint(keys[p])
-                           for p in range(first[w], first[w + 1])) > 1):
+                    or (wfree := ~cut & ((1 << first[w + 1]) - (1 << first[w]))) & (wfree - 1)):
                 robust += 1
                 if robust == 2:
                     break

@@ -9,8 +9,10 @@ and the `*_by_full_walk`, `*_by_member_checks` and `*_reference` functions,
 which read the graph's neighbour rows or its range check.
 `growth_search_reference` also judges its candidates with the library's
 keyed rows and removal check.  `keyed_rows_reference` is the edge
-numbering that `oracle._keyed_rows` replaced, and `perm_rank_reference`
-the quadratic Lehmer rank that `core._rank` replaced, both kept verbatim.
+numbering that `oracle._keyed_rows` replaced, `perm_rank_reference`
+the quadratic Lehmer rank that `core._rank` replaced, and
+`certified_by_path_lists` the path certificate that `oracle._certified`'s
+path bits replaced, all kept verbatim.
 """
 
 import itertools
@@ -296,6 +298,47 @@ def keyed_rows_reference(adj, mode):
     rows = [tuple((w, eid[_canon_edge(u, w)]) for w in row)
             for u, row in enumerate(adj)]
     return rows, len(edges), edges
+
+
+def certified_by_path_lists(ws, base, L: int, x_end: int) -> bool:
+    """oracle._certified as it was before the path bits: each flagged
+    vertex lists its paths free of the base with `set.isdisjoint`, and a
+    neighbour counts its free paths the same way."""
+    vertex = ws.vertex
+    if vertex and ws.N - len(base) < 3:
+        return False
+    for sink, hits, risk, high, width, first, keys, _ in ws.families:
+        if not (vertex and (sink in base or L < sink < x_end)):
+            break
+    else:
+        return False
+    mask = sum(map(hits.__getitem__, base), risk) & high
+    if not mask:
+        return True
+    removed = set(base)
+    risky = mask
+    while risky:
+        bit = risky & -risky
+        risky ^= bit
+        v = bit.bit_length() // width - 1
+        if vertex and v in removed:
+            continue
+        alive = [p for p in range(first[v], first[v + 1]) if removed.isdisjoint(keys[p])]
+        if len(alive) > 1 or (alive and not any(L < x < x_end for x in keys[alive[0]])):
+            continue
+        robust = 0
+        for w, key in ws.rows[v]:
+            if key in removed:
+                continue
+            if (w == sink or not mask >> ((w + 1) * width - 1) & 1
+                    or sum(removed.isdisjoint(keys[p])
+                           for p in range(first[w], first[w + 1])) > 1):
+                robust += 1
+                if robust == 2:
+                    break
+        else:
+            return False
+    return True
 
 
 def growth_search_reference(adj, k: int, mode: str, stats: SearchStats,

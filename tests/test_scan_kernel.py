@@ -42,7 +42,7 @@ from starcut.oracle import (
 )
 from starcut.symmetry import star_maps
 
-from helpers import brute_min_k_cut
+from helpers import brute_min_k_cut, certified_by_path_lists
 
 nx = pytest.importorskip("networkx")
 
@@ -259,7 +259,7 @@ def test_skip_is_sound_on_graphs_with_two_paths_to_vertex_0(adj, mode, data):
 def test_two_robust_neighbours_clear_a_vertex_its_own_paths_do_not(mode, adj, base, v):
     ws = _family_state(adj, mode)
     L, x_end = base[-1], ws.ground
-    sink, hits, risk, high, width, first, keys = ws.families[0]
+    sink, hits, risk, high, width, first, keys, through = ws.families[0]
     free = [keys[p] for p in range(first[v], first[v + 1]) if set(base).isdisjoint(keys[p])]
     assert len(free) == 1 and any(L < x < x_end for x in free[0])
     assert _assert_skip_is_sound(ws, base, L, x_end)
@@ -329,6 +329,75 @@ def test_level_four_bases_that_remove_vertex_0_skip_by_the_second_sink():
     for base in [(0, 1, x) for x in range(2, ws.ground)]:
         assert not _certified(ws, base, base[-1], ws.ground)
     assert not _certified(ws, (0,), 0, ws.ground)
+
+
+# ---------------------------------------------------------------------------
+# the path bits: the certificate reads the same free paths as the path
+# lists it replaced (helpers.certified_by_path_lists)
+# ---------------------------------------------------------------------------
+
+
+def _assert_certificates_agree(ws, base, L, x_end):
+    got = _certified(ws, base, L, x_end)
+    assert got == certified_by_path_lists(ws, base, L, x_end), (base, L, x_end)
+    return got
+
+
+def _near_base(draw, ws, held=()):
+    """A base as _extension_span draws it, but with most keys taken from
+    the paths and links of one vertex, so that its lane sum flags vertices
+    and the certificate reads their free paths and their neighbours'."""
+    first, keys = ws.families[0][5:7]
+    v = draw(st.integers(0, ws.N - 1))
+    near = sorted({key for path in keys[first[v]:first[v + 1]] for key in path}
+                  | {key for _, key in ws.rows[v]})
+    picked = draw(st.lists(st.sampled_from(near), unique=True, max_size=4)) if near else []
+    extra = draw(st.lists(st.integers(0, ws.ground - 1), unique=True, max_size=2))
+    base = tuple(sorted(set(held).union(picked, extra)))
+    L = base[-1] if base else -1
+    return base, L, draw(st.integers(L + 1, ws.ground))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_path_graphs(), st.sampled_from(["vertex", "edge"]), st.data())
+def test_path_bits_match_the_path_lists_on_graphs_with_two_paths_to_vertex_0(adj, mode, data):
+    ws = _family_state(adj, mode)
+    for _ in range(8):
+        _assert_certificates_agree(ws, *_near_base(data.draw, ws))
+        _assert_certificates_agree(ws, *_extension_span(data.draw, ws.ground))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.sampled_from(["vertex", "edge", "second sink"]),
+       st.booleans(), st.data())
+def test_path_bits_match_the_path_lists_on_star_graphs(n, mode, hold_0, data):
+    # the modes and held key 0 of test_skip_is_sound_on_star_graphs, and an
+    # x_end drawn anywhere above the base's largest key
+    ws = _star_state(n, "vertex" if mode == "second sink" else mode)
+    if mode == "second sink":
+        ws = _state("vertex", ws.rows, ws.ground, ws.families[1:])
+    held = (0,) if hold_0 else ()
+    for _ in range(8):
+        _assert_certificates_agree(ws, *_near_base(data.draw, ws, held))
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@pytest.mark.parametrize("n, max_nodes", [(4, None), (5, 3_000_000)])
+def test_path_bits_match_the_path_lists_on_every_base_a_walk_hands_over(
+        monkeypatch, n, max_nodes, mode):
+    # every k of the star in one walk on one worker (S3's lane sums clear
+    # every base); in vertex mode the bases that hold vertex 0 go to the
+    # second sink's family
+    results = Counter()
+
+    def both(*args):
+        got = _assert_certificates_agree(*args)
+        results[got] += 1
+        return got
+
+    monkeypatch.setattr(oracle, "_certified", both)
+    oracle._oracle(StarGraph(n), list(range(n + 1)), mode, SearchBudget(max_nodes=max_nodes), 1, None)
+    assert results[True] and results[False], results
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +553,7 @@ def _assert_maximum_disjoint_paths(adj, mode, family):
     )
     from networkx.algorithms.flow import build_residual_network
 
-    sink, hits, risk, high, width, first, keys = family
+    sink, hits, risk, high, width, first, keys, through = family
     rows, ground, edges = _keyed_rows(adj, mode)
     g = _reduced(adj, mode, edges, [])
     if mode == "vertex":
@@ -509,6 +578,12 @@ def _assert_maximum_disjoint_paths(adj, mode, family):
             assert h.has_node(v) and h.has_node(sink) and nx.has_path(h, v, sink)
             for key in path:
                 assert hits[key] >> (v * width) & 1
+    # through[key] has bit p set exactly for the paths p that hold key
+    paths_through = [0] * len(through)
+    for p, path in enumerate(keys):
+        for key in path:
+            paths_through[key] |= 1 << p
+    assert through == paths_through
 
 
 @settings(max_examples=200, deadline=None)
