@@ -43,6 +43,7 @@ from .decomposition import (
 from .oracle import (
     DEFAULT_TABLE_MAX_NODES,
     SearchBudget,
+    _STRATEGIES,
     classical_connectivity,
     compare_formula,
     exact_kappa_super,
@@ -61,8 +62,11 @@ TABLE_HEADER = "n,k,formula,construction_ok,oracle_kind,oracle_value,agree"
 
 def _write(args, text: str):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -267,7 +271,7 @@ def cmd_verify_cut(args) -> int:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
@@ -520,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--mode", choices=("vertex", "edge"), default="vertex")
-    p.add_argument("--strategy",
-                   choices=("auto", "subset-enumeration", "component-growth"),
-                   default="auto")
+    p.add_argument("--strategy", choices=_STRATEGIES, default="auto")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -289,17 +289,15 @@ def _plan_level(ground: int, s: int, node_budget: int | None):
     extension end) is one task of `_run_task`: its bases are the size s-1
     sets with largest element L, and each decides the extensions x with
     L < x < extension end.  Every size-s subset is decided exactly once,
-    via the base formed by dropping its largest member.  A node budget is
-    a hard cap: the last planned base decides only the extensions the
-    budget has left, so the plan is deterministic and independent of
-    worker count.  Groups come in ascending L, and a full group holds
-    comb(L, s - 2) bases, so `_subset_search` dispatches them in reverse,
-    largest first.
+    via the base formed by dropping its largest member.  A positive node
+    budget is a hard cap: the last planned base decides only the
+    extensions the budget has left, so the plan is deterministic and
+    independent of worker count.  Groups come in ascending L, and a full
+    group holds comb(L, s - 2) bases, so `_subset_search` dispatches them
+    in reverse, largest first.
     """
     groups: list[tuple[int, int, int, int]] = []
     decided = 0
-    if node_budget is not None and node_budget <= 0:
-        return groups, True
     if s == 1:
         if node_budget is not None and node_budget < ground:
             return [(-1, 0, 1, node_budget)], True
@@ -461,9 +459,7 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
     lane sum finds every such vertex, and also some that keep two, where
     two removed keys lie on one path.  The paths the base cuts
     are one OR of its keys' path bits, so the free paths of v are the
-    clear bits between first[v] and first[v + 1].  `_run_task` hands over
-    only bases that this family's lane sums kept (see _chunks), so the
-    `if not mask` return serves direct callers only.
+    clear bits between first[v] and first[v + 1].
 
     A vertex that its own paths do not clear is cleared through two of its
     links whose keys are not in the base, each to the sink or to a
@@ -485,8 +481,6 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
     else:
         return False
     mask = sum(map(hits.__getitem__, base), risk) & high
-    if not mask:
-        return True
     cut = 0
     for key in base:
         cut |= through[key]
@@ -949,7 +943,8 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
     A state is counted and scored from the added vertex's row before
     anything changes, and joins the walk only when it has children to
     visit or its witness cut must be read off `sub`; most states have
-    neither and cost one pass over a row.
+    neither and cost one pass over a row.  A state that joins pushes its
+    parent's counters with its frame, and leaving it pops them back.
     """
     N = len(adj)
     rows, ground, edges = _keyed_rows(adj, mode)
@@ -965,8 +960,9 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
     nbr_cnt = [0] * N
     sub: list[int] = []
     ext: list[int] = []
-    # (next candidate, end) of every state on the path below the current one
-    frames: list[tuple[int, int]] = []
+    # (next candidate, end, below_k, boundary, cut_edges) of every state on
+    # the path below the current one
+    frames: list[tuple[int, int, int, int, int]] = []
     nodes, truncated, lb, ub, witness = 0, False, inf, inf, None
     # side vertices short of k inner neighbours, vertex and edge boundary
     below_k = boundary = cut_edges = 0
@@ -976,25 +972,13 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
             w = ext[i]
             i += 1
         elif sub:
-            # the current state is spent: take its vertex out again
+            # the current state is spent: take its vertex out again and
+            # restore the parent's counters from its frame
             v = sub.pop()
             in_sub[v] = 0
-            row = adj[v]
-            for u in row:
-                c = nbr_cnt[u] - 1
-                nbr_cnt[u] = c
-                if in_sub[u]:
-                    if c == k - 1:
-                        below_k += 1
-                elif c == 0:
-                    boundary -= 1
-            c = nbr_cnt[v]
-            cut_edges -= len(row) - 2 * c
-            if c < k:
-                below_k -= 1
-            if c:
-                boundary += 1
-            i, end = frames.pop()
+            for u in adj[v]:
+                nbr_cnt[u] -= 1
+            i, end, below_k, boundary, cut_edges = frames.pop()
             del ext[end:]
             continue
         elif root < N:
@@ -1050,7 +1034,7 @@ def _growth_search(adj, k: int, mode: str, stats: SearchStats,
             continue
 
         # add w; its fresh neighbours above the anchor extend the new state
-        frames.append((i, end))
+        frames.append((i, end, below_k, boundary, cut_edges))
         in_sub[w] = 1
         sub.append(w)
         below_k, boundary, cut_edges = short, nb, ne

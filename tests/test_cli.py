@@ -230,6 +230,26 @@ def test_verify_cut_malformed_file_is_a_usage_error(tmp_path, capsys, flag, doc)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--vertices", "--edges"])
+def test_verify_cut_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, flag):
+    path = tmp_path / "cut.json"
+    path.write_bytes(b'{"n": 4, "k": 0, "vertices": ["\xff"]}')
+    assert main(["verify-cut", flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_output_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # exit 1 would read as "verification failure"; every command's -o
+    # goes through the same writer
+    path = tmp_path / "missing" / "c.json"
+    assert main(["cut", "4", "1", "-o", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_cut_refuses_graphs_too_large_to_judge(tmp_path, capsys):
     # a verdict walks all n! vertices of the materialized graph
     n10 = tmp_path / "n10.json"
