@@ -368,15 +368,20 @@ def sample_connected_subgraph(g: StarGraph, rng, size: int) -> list[int]:
     ``rng.randrange(len(boundary))`` draws it (the rejection loop of
     ``Random._randbelow_with_getrandbits``, with the same ``getrandbits``
     calls), so the sets and the generator's final state equal those of a
-    sampler that calls ``randrange``; the tests pin both against one.  One
-    byte per vertex marks the chosen and the boundary vertices alike, since
-    a neighbour joins the boundary only when it is in neither.
+    sampler that calls ``randrange``; the tests pin both against one.
     """
     if size < 1:
         raise InputError("sample size must be >= 1")
-    getrandbits, row = rng.getrandbits, g._row
-    start = rng.randrange(g.num_vertices)
-    marked = bytearray(g.num_vertices)
+    return _grow(g._row, g.num_vertices, rng, size)
+
+
+def _grow(row, N: int, rng, size: int) -> list[int]:
+    """`sample_connected_subgraph` over the rows `row(v)` of N vertices.
+    One byte per vertex marks the chosen and the boundary vertices alike,
+    since a neighbour joins the boundary only when it is in neither."""
+    getrandbits = rng.getrandbits
+    start = rng.randrange(N)
+    marked = bytearray(N)
     marked[start] = 1
     chosen = [start]
     boundary = list(row(start))
@@ -407,7 +412,8 @@ def sample_min_degree_subgraphs(g: StarGraph, k: int, draws: int, rng):
     """Draw connected samples and keep those with induced min degree >= k.
 
     Half the draws aim near the full vertex count, where the degree filter
-    passes often even for larger k; the rest spread over all sizes.
+    passes often even for larger k; the rest spread over all sizes.  The
+    samples grow from one tuple per row, built once per call.
     Returns (kept samples, number of draws made).
     """
     N = g.num_vertices
@@ -417,12 +423,13 @@ def sample_min_degree_subgraphs(g: StarGraph, k: int, draws: int, rng):
     if draws < 0:
         raise InputError(f"draws must be >= 0, got {draws}")
     out = []
+    row = g.adjacency_lists().__getitem__ if draws else None
     for _ in range(draws):
         if rng.random() < 0.5:
             size = max(k + 1, N - rng.randrange(0, 4 * g.n + 1))
         else:
             size = rng.randrange(k + 1, N + 1)
-        xs = sample_connected_subgraph(g, rng, size)
+        xs = _grow(row, N, rng, size)
         if induced_min_degree(g, xs) >= k:
             out.append(xs)
     return out, draws

@@ -8,7 +8,10 @@ Two strategies provide ground truth for the cut-size formula (k+1)!(n-k-1):
   graph classifies every extension at once, and disjoint paths to a sink
   vertex skip the scans they prove would find nothing: their lane sums
   clear most of a group's bases at once, in C-level iterator chains, and
-  only the others are looked at one by one.  The max flows that
+  only the others are looked at one by one.  A base that already leaves
+  a survivor with fewer than k neighbours is not scanned, since removing
+  more gives no neighbour back, unless (vertex mode) an extension removes
+  that lone survivor.  The max flows that
   find those paths also give the connectivity, and sizes below it are
   pruned wholesale, since such removals cannot disconnect.
   Odd edge sizes are skipped outright if the graph is connected and every
@@ -340,6 +343,7 @@ class _WorkerState:
         self.low = [0] * self.N
         self.gen = 0
         self.families = None  # see _path_family
+        self.short_lanes = None  # {k: _short_lanes(..., k)}
 
 
 _WS: _WorkerState | None = None
@@ -509,6 +513,52 @@ def _certified(ws: _WorkerState, base, L: int, x_end: int) -> bool:
     return True
 
 
+def _short_lanes(rows, ground, vertex, k):
+    """(first, width, hits, bias, high): the lanes `_short` sums for k.
+
+    Vertex v owns the `width`-bit lane at bit v * width, and hits[key] has
+    a 1 in the lane of every vertex that loses a neighbour when the key is
+    removed: the vertex's neighbours, or the edge's two ends.  Summed over
+    a removal and added to `bias`, the lane of a surviving vertex reaches
+    its top bit (`high`) exactly when the vertex keeps fewer than k
+    neighbours; in vertex mode hits[v] also takes k off v's own lane, so a
+    removed vertex never does.  Lanes are wide enough that no sum carries
+    into the next.  A removal of fewer than `first` keys leaves no vertex
+    short, since each key costs a vertex at most one neighbour.
+    """
+    degrees = [len(row) for row in rows]
+    width = (max(degrees, default=0) + k).bit_length() + 1
+    half = 1 << (width - 1)
+    bias = high = 0
+    hits = [0] * ground
+    for u, row in enumerate(rows):
+        lane = 1 << (u * width)
+        bias += (half - len(row) + k - 1) * lane
+        high |= half * lane
+        for _, key in row:
+            hits[key] += lane
+        if vertex:
+            hits[u] -= k * lane
+    return min(degrees, default=0) - k + 1, width, hits, bias, high
+
+
+def _short(ws: _WorkerState, base, k: int) -> list[int]:
+    """The vertices that survive `base` with fewer than k neighbours left,
+    in ascending order, from one lane sum (see _short_lanes).
+
+    Removing more keys gives no survivor a neighbour back, so no extension
+    of a base with a short survivor is a valid k-cut, except, in vertex
+    mode, the one that removes a lone short survivor itself."""
+    _, width, hits, bias, high = ws.short_lanes[k]
+    mask = sum(map(hits.__getitem__, base), bias) & high
+    short = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        short.append(bit.bit_length() // width - 1)
+    return short
+
+
 def _stamp(ws: _WorkerState, removal) -> int:
     ws.gen += 1
     gen = ws.gen
@@ -670,9 +720,13 @@ def _run_task(task):
     """Decide every subset covered by one group of bases; see _plan_level.
 
     The lane sums clear most bases a chunk at a time (see _chunks); each
-    other base is cleared by `_certified` or scanned, and its candidate
-    extensions are checked.  Returns (nodes, checked, smallest valid
-    removal or None for each of the ascending `ks`, expired)."""
+    other base is cleared by `_certified`, skipped when it already leaves
+    a survivor with fewer neighbours than the smallest k (see _short), or
+    scanned, and its candidate extensions are checked.  The degree test
+    runs only at sizes where a survivor can fall short.  Returns (nodes,
+    checks for each of the ascending `ks`, smallest valid removal or None
+    for each k, expired): a check counts for k when a walk for k alone
+    makes it too."""
     ws = _WS
     s, L, start, count, x_end, ks = task
     vertex = ws.vertex
@@ -681,8 +735,11 @@ def _run_task(task):
     bests = [None] * len(ks)
     reach = 0
     nodes = 0
-    checked = 0
+    checked = [0] * len(ks)
     expired = False
+    # no vertex is ever short of k = 0 neighbours
+    prune = ks[0] > 0 and s - 1 >= ws.short_lanes[ks[0]][0]
+    split = len(ks) > 1 and s - 1 >= ws.short_lanes[ks[-1]][0]
 
     for cleared, bases in _chunks(ws, s, L, start, count, x_end):
         if deadline is not None and time.monotonic() > deadline:
@@ -693,6 +750,9 @@ def _run_task(task):
             nodes += per
             if ws.families is not None and _certified(ws, base, L, x_end):
                 continue
+            short = _short(ws, base, ks[0]) if prune else ()
+            if short and (not vertex or len(short) > 1 or not L < short[0] < x_end):
+                continue
             ncomp, critical = _scan(ws, base)
             if ncomp >= 2 or (vertex and ws.N - s < 2):
                 # already split, or the extension leaves fewer than two
@@ -700,10 +760,22 @@ def _run_task(task):
                 cands = range(L + 1, x_end)
             else:
                 cands = sorted(c for c in critical if L < c < x_end)
+            if short:
+                # only the extension that removes the short survivor can
+                # be valid
+                cands = [short[0]] if short[0] in cands else ()
             for x in cands:
                 removal = base + (x,)
                 disconnected, mind = _check_removal(ws, removal)
-                checked += 1
+                for j, k in enumerate(ks):
+                    # a walk for a larger k alone checks x only when x is
+                    # the base's one survivor short of k, or none is; once
+                    # a k fails, every larger one does
+                    if j and split:
+                        more = _short(ws, base, k)
+                        if more and (not vertex or more != [x]):
+                            break
+                    checked[j] += 1
                 if disconnected:
                     reach = _settle(ks, bests, reach, removal, mind)
     return nodes, checked, bests, expired
@@ -748,14 +820,17 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     (see _connectivity), and the walk starts there, since smaller removals
     cannot disconnect.  Otherwise it starts at size 1.
 
-    The scans, and the candidates they yield, do not depend on k: a
-    disconnecting removal is valid for k exactly when its smallest
-    surviving degree is at least k.  Each k leaves the walk where a walk
-    for it alone would stop: after the first size holding a valid removal
-    (the minimum, since every smaller size was decided in full or ruled
-    out), past its formula - 1, or when the budget runs out.  The ks still
+    A disconnecting removal is valid for k exactly when its smallest
+    surviving degree is at least k.  The scans do not depend on k; the
+    candidates do only through the degree test of `_run_task`, which the
+    smallest k still walking sets, and which skips only removals invalid
+    for every k still walking.  Each k leaves the walk where a walk for it
+    alone would stop: after the first size holding a valid removal (the
+    minimum, since every smaller size was decided in full or ruled out),
+    past its formula - 1, or when the budget runs out.  The ks still
     walking have seen the same sizes, so they share one node count and one
-    budget, and each k's stats are those of a walk for it alone.
+    budget; each counts the checks its own walk would make, so each k's
+    stats are those of a walk for it alone.
 
     In edge mode on a connected graph whose degrees are all even, an odd
     size holds no new minimum (see the parity lemma at the skip), so it is
@@ -771,6 +846,7 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
     global _WS
     rows, ground, edges = _keyed_rows(adj, mode)
     ws = _WS = _WorkerState(rows, ground, mode, deadline)
+    ws.short_lanes = {k: _short_lanes(rows, ground, ws.vertex, k) for k in ks}
     transitive = maps is not None and check_automorphisms(adj, maps)
     conn_lb = 1
     if maps is not None:
@@ -815,13 +891,13 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
         walking.append((i, max_size))
 
     nodes = 0
-    checked = 0
+    checked = [0] * len(ks)
 
     def leave(i, truncated, best=None):
         """Report k = ks[i] as its own walk would, at the counts so far."""
         st, formula = stats[i], formulas[i]
         st.nodes = nodes
-        st.candidates_checked = checked
+        st.candidates_checked = checked[i]
         if best is not None:
             if formula is not None and len(best) < formula:
                 st.notes.append("found a cut below the constructive bound")
@@ -898,7 +974,8 @@ def _subset_search(adj, ks, mode: str, stats: list[SearchStats],
                 results = map(_run_task, tasks)
             for t_nodes, t_checked, t_bests, t_expired in results:
                 nodes += t_nodes
-                checked += t_checked
+                for (i, _), t_count in zip(walking, t_checked):
+                    checked[i] += t_count
                 for j, t_best in enumerate(t_bests):
                     if t_best is not None and (best[j] is None or t_best < best[j]):
                         best[j] = t_best

@@ -378,14 +378,16 @@ def test_certification_levels_plan_enough_bases_for_the_pool():
 
 def _decided_by_plan(monkeypatch, ground, s, budget):
     """Run `_run_task` over every task of one planned level, with every
-    extension a candidate; returns (removals checked, nodes, truncated)."""
+    extension a candidate; returns (removals checked, nodes, truncated).
+    The state has no edges, so k = 0, which no survivor falls short of,
+    keeps the degree test from skipping every base."""
     decided = []
     monkeypatch.setattr(oracle, "_WS", oracle._WorkerState([()] * ground, ground, "edge"))
     monkeypatch.setattr(oracle, "_scan", lambda ws, base: (2, ()))
     monkeypatch.setattr(oracle, "_check_removal",
                         lambda ws, removal: decided.append(removal) or (False, 0))
     groups, truncated = oracle._plan_level(ground, s, budget)
-    nodes = sum(oracle._run_task((s, *group, [1]))[0] for group in groups)
+    nodes = sum(oracle._run_task((s, *group, [0]))[0] for group in groups)
     return decided, nodes, truncated
 
 

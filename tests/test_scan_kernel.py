@@ -541,6 +541,115 @@ def test_s5_k1_walk_at_two_million_nodes_clears_most_bases_in_bulk(
     assert (calls["_certified"], calls["_scan"] - 1) == (certified, scans)
 
 
+@pytest.mark.parametrize("n, mode, certified, scans, checked", [
+    (4, "vertex", 209, 96, 24),
+    (4, "edge", 454, 183, 24),
+    (5, "vertex", 1_048, 76, 14),
+    (5, "edge", 1_842, 82, 10),
+])
+def test_benchmark_walks_never_reach_the_degree_test(
+        monkeypatch, n, mode, certified, scans, checked):
+    # the k = 1 walks at two million nodes end at size 3 (S4) and 4 (S5),
+    # where a survivor of degree n - 1 has lost at most n - 2 neighbours,
+    # so the degree test is off and every count is what it was without it.
+    # The scans include the one that tests the graph's connectivity
+    calls = Counter()
+    for name in ("_certified", "_scan", "_short"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, real=real, name=name:
+                            calls.update([name]) or real(*a))
+    search = oracle.exact_kappa_super if mode == "vertex" else oracle.exact_lambda_super
+    res = search(StarGraph(n), 1, SearchBudget(max_nodes=2_000_000), workers=2)
+    assert res.value == 2 * (n - 2) and res.stats.candidates_checked == checked
+    assert (calls["_certified"], calls["_scan"], calls["_short"]) == (certified, scans, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(removal_cases())
+def test_short_survivors_match_a_count_of_their_neighbours(case):
+    adj, mode, rows, ground, edges, removal, k = case
+    ws = _state(mode, rows, ground)
+    ws.short_lanes = {k: oracle._short_lanes(rows, ground, ws.vertex, k)}
+    gone = set(removal)
+    want = [v for v, row in enumerate(rows) if not (mode == "vertex" and v in gone)
+            and sum(key not in gone for _, key in row) < k]
+    assert oracle._short(ws, removal, k) == want
+    if len(removal) < ws.short_lanes[k][0]:
+        assert want == []
+
+
+# A hand-made graph for the degree test at k = 2: vertices 0 to 3 form a
+# complete graph, and the path 0 - 4 - 5 - 2 joins two of them through 4
+# and 5, which have degree 2, so losing one neighbour leaves either short
+_DEGREE_TEST_GRAPH = [[1, 2, 3, 4], [0, 2, 3], [0, 1, 3, 5], [0, 1, 2], [0, 5],
+                      [2, 4]]
+
+
+def _degree_test_task(monkeypatch, mode, task):
+    """(bases scanned, removals checked, checks per k) of one `_run_task`
+    on the graph above, with no path family and every extension a scan
+    candidate."""
+    rows, ground, _ = _keyed_rows(_DEGREE_TEST_GRAPH, mode)
+    ws = _state(mode, rows, ground)
+    ws.short_lanes = {k: oracle._short_lanes(rows, ground, ws.vertex, k)
+                      for k in task[-1]}
+    scanned, decided = [], []
+    monkeypatch.setattr(oracle, "_WS", ws)
+    monkeypatch.setattr(oracle, "_scan", lambda ws, base: scanned.append(base) or (2, []))
+    monkeypatch.setattr(oracle, "_check_removal",
+                        lambda ws, removal: decided.append(removal) or (False, 0))
+    checked = oracle._run_task(task)[1]
+    return scanned, decided, checked
+
+
+@pytest.mark.parametrize("task, scanned, decided", [
+    # (0,) leaves 4 short, inside (L, x_end): only removing 4 can be valid
+    ((2, 0, 0, 1, 6, [2]), [(0,)], [(0, 4)]),
+    # the same base with a budget that ends its extensions at 4 or before
+    ((2, 0, 0, 1, 4, [2]), [], []),
+    # (1,) leaves no survivor short, though 3 keeps exactly 2 neighbours
+    ((2, 1, 0, 1, 6, [2]), [(1,)], [(1, x) for x in range(2, 6)]),
+    # (0, 3) leaves 1 and 4 short: 4 is an extension, but no fix of 1 is
+    ((3, 3, 0, 1, 6, [2]), [], []),
+    # (0, 4) leaves 4 itself with one neighbour, but removes it; 5 is the
+    # one short survivor
+    ((3, 4, 0, 1, 6, [2]), [(0, 4)], [(0, 4, 5)]),
+])
+def test_degree_test_skips_bases_whose_survivors_fall_short(
+        monkeypatch, task, scanned, decided):
+    got = _degree_test_task(monkeypatch, "vertex", task)
+    assert got == (scanned, decided, [len(decided)])
+
+
+def test_degree_test_in_edge_mode_skips_every_base_with_a_short_survivor(monkeypatch):
+    # removing an edge removes no vertex, so no later key fixes a short
+    # end: edge 3 = (0, 4) leaves vertex 4 short, and no extension helps,
+    # though 4 lies in (L, x_end) as an edge id
+    edges = _keyed_rows(_DEGREE_TEST_GRAPH, "edge")[2]
+    assert edges[3] == (0, 4) and len(edges) == 9
+    for L, (u, w) in enumerate(edges[:-1]):
+        scanned, decided, checked = _degree_test_task(
+            monkeypatch, "edge", (2, L, 0, 1, 9, [2]))
+        keep = 4 not in (u, w) and 5 not in (u, w)
+        assert scanned == ([(L,)] if keep else []), L
+        assert decided == ([(L, x) for x in range(L + 1, 9)] if keep else []), L
+        assert checked == [len(decided)]
+
+
+def test_shared_walks_count_each_check_for_the_ks_whose_own_walk_makes_it(monkeypatch):
+    # no survivor of one removed vertex falls short of k = 1, the smallest
+    # k, so every base of size 1 is scanned and each extension checked.  A
+    # walk for k = 2 alone checks (0, 4), (1, x) for x > 1, (2, 5), (3, 4),
+    # (3, 5) and (4, 5)
+    checked = [0, 0]
+    decided = []
+    for L in range(5):
+        _, got, counts = _degree_test_task(monkeypatch, "vertex", (2, L, 0, 1, 6, [1, 2]))
+        decided += got
+        checked = [a + b for a, b in zip(checked, counts)]
+    assert decided == list(combinations(range(6), 2)) and checked == [15, 9]
+
+
 def _assert_maximum_disjoint_paths(adj, mode, family):
     """Each vertex but the sink gets as many paths as networkx counts,
     pairwise disjoint in their keys, and each path's keys join the vertex
